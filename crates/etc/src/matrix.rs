@@ -2,12 +2,20 @@
 
 use std::fmt;
 
-/// Typed construction failure for [`EtcMatrix::try_from_rows`].
+/// Typed construction failure for [`EtcMatrix::try_from_rows`] and
+/// [`EtcMatrix::try_from_flat`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum EtcMatrixError {
     /// The row set is empty (no applications) or the first row is empty
     /// (no machines).
     Empty,
+    /// A flat value vector's length is not `apps × machines`.
+    Length {
+        /// Values supplied.
+        got: usize,
+        /// `apps × machines`.
+        expected: usize,
+    },
     /// A row's length disagrees with the first row's.
     Ragged {
         /// Offending row index.
@@ -33,6 +41,9 @@ impl fmt::Display for EtcMatrixError {
         match self {
             EtcMatrixError::Empty => {
                 write!(f, "ETC matrix needs at least one application and machine")
+            }
+            EtcMatrixError::Length { got, expected } => {
+                write!(f, "flat ETC matrix has {got} values, expected {expected}")
             }
             EtcMatrixError::Ragged { row, got, expected } => write!(
                 f,
@@ -79,28 +90,45 @@ impl EtcMatrix {
             return Err(EtcMatrixError::Empty);
         }
         let machines = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * machines);
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != machines {
-                return Err(EtcMatrixError::Ragged {
-                    row: i,
-                    got: row.len(),
-                    expected: machines,
-                });
-            }
-            for (j, &v) in row.iter().enumerate() {
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(EtcMatrixError::InvalidEntry {
-                        app: i,
-                        machine: j,
-                        value: v,
-                    });
-                }
-                data.push(v);
-            }
+        if let Some((row, r)) = rows.iter().enumerate().find(|(_, r)| r.len() != machines) {
+            return Err(EtcMatrixError::Ragged {
+                row,
+                got: r.len(),
+                expected: machines,
+            });
+        }
+        Self::try_from_flat(rows.len(), machines, rows.concat())
+    }
+
+    /// Builds a matrix from `apps × machines` row-major values, taking
+    /// ownership of `data` without copying it. Rejects an empty shape, a
+    /// length that does not match it, and non-positive or non-finite
+    /// entries with a typed [`EtcMatrixError`] (the first bad entry in
+    /// row-major order, as [`EtcMatrix::try_from_rows`] reports it).
+    pub fn try_from_flat(
+        apps: usize,
+        machines: usize,
+        data: Vec<f64>,
+    ) -> Result<Self, EtcMatrixError> {
+        if apps == 0 || machines == 0 {
+            return Err(EtcMatrixError::Empty);
+        }
+        let expected = apps.saturating_mul(machines);
+        if data.len() != expected {
+            return Err(EtcMatrixError::Length {
+                got: data.len(),
+                expected,
+            });
+        }
+        if let Some(k) = data.iter().position(|&v| !(v.is_finite() && v > 0.0)) {
+            return Err(EtcMatrixError::InvalidEntry {
+                app: k / machines,
+                machine: k % machines,
+                value: data[k],
+            });
         }
         Ok(EtcMatrix {
-            apps: rows.len(),
+            apps,
             machines,
             data,
         })
@@ -255,5 +283,36 @@ mod tests {
             Err(EtcMatrixError::InvalidEntry { app: 1, .. })
         ));
         assert!(EtcMatrix::try_from_rows(vec![vec![1.0, 2.0]]).is_ok());
+    }
+
+    #[test]
+    fn flat_and_row_constructors_agree() {
+        let cases: Vec<Vec<Vec<f64>>> = vec![
+            vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]],
+            vec![vec![1.0, 2.0], vec![3.0, f64::NAN]],
+            vec![vec![1.0], vec![f64::INFINITY]],
+            vec![vec![1.0, 0.0, -1.0]],
+            vec![vec![]],
+            vec![],
+        ];
+        for rows in cases {
+            let apps = rows.len();
+            let machines = rows.first().map_or(0, Vec::len);
+            let flat = EtcMatrix::try_from_flat(apps, machines, rows.concat());
+            let from_rows = EtcMatrix::try_from_rows(rows.clone());
+            // NaN entries defeat `PartialEq`; compare the debug forms.
+            assert_eq!(
+                format!("{flat:?}"),
+                format!("{from_rows:?}"),
+                "rows {rows:?}"
+            );
+        }
+        assert_eq!(
+            EtcMatrix::try_from_flat(2, 2, vec![1.0; 3]),
+            Err(EtcMatrixError::Length {
+                got: 3,
+                expected: 4
+            })
+        );
     }
 }

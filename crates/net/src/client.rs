@@ -25,7 +25,9 @@
 //! attempts), bounds each read, and expires as a typed
 //! [`NetError::DeadlineExceeded`].
 
-use crate::frame::{read_frame, write_frame, DecodeError, FrameReadError, FrameType};
+use crate::frame::{
+    encode_frame_into, read_frame, write_frame, DecodeError, FrameReadError, FrameType,
+};
 use crate::wire::{
     decode_error, decode_job_reply, decode_response, decode_stats_reply, encode_job_cancel,
     encode_job_poll, encode_request, encode_request_with_deadline, encode_stats_request,
@@ -144,11 +146,19 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Applies the configured socket timeouts (ZERO = fully blocking).
-fn apply_io_timeouts(stream: &TcpStream, timeout: Duration) -> std::io::Result<()> {
-    let t = (!timeout.is_zero()).then_some(timeout);
-    stream.set_read_timeout(t)?;
-    stream.set_write_timeout(t)
+/// The configured socket timeout as a socket option (ZERO = fully
+/// blocking).
+fn io_floor(timeout: Duration) -> Option<Duration> {
+    (!timeout.is_zero()).then_some(timeout)
+}
+
+/// Connects with `TCP_NODELAY` and the configured read/write timeouts.
+fn open_stream(addr: SocketAddr, io_timeout: Duration) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(io_floor(io_timeout))?;
+    stream.set_write_timeout(io_floor(io_timeout))?;
+    Ok(stream)
 }
 
 /// A blocking client for one server address. Not thread-safe (`&mut self`
@@ -157,6 +167,9 @@ pub struct NetClient {
     addr: SocketAddr,
     config: ClientConfig,
     stream: Option<TcpStream>,
+    /// The read timeout `stream` currently carries, so an attempt only
+    /// calls `set_read_timeout` when its budget changes the value.
+    read_timeout: Option<Duration>,
     reconnects: u64,
     retries: u64,
 }
@@ -164,11 +177,10 @@ pub struct NetClient {
 impl NetClient {
     /// Connects eagerly so configuration errors surface immediately.
     pub fn connect(addr: SocketAddr, config: ClientConfig) -> Result<NetClient, NetError> {
-        let stream = TcpStream::connect(addr).map_err(NetError::Io)?;
-        stream.set_nodelay(true).map_err(NetError::Io)?;
-        apply_io_timeouts(&stream, config.io_timeout).map_err(NetError::Io)?;
+        let stream = open_stream(addr, config.io_timeout).map_err(NetError::Io)?;
         Ok(NetClient {
             addr,
+            read_timeout: io_floor(config.io_timeout),
             config,
             stream: Some(stream),
             reconnects: 0,
@@ -188,16 +200,30 @@ impl NetClient {
 
     fn stream(&mut self) -> Result<&mut TcpStream, NetError> {
         if self.stream.is_none() {
-            let s = TcpStream::connect(self.addr).map_err(NetError::Io)?;
-            s.set_nodelay(true).map_err(NetError::Io)?;
-            apply_io_timeouts(&s, self.config.io_timeout).map_err(NetError::Io)?;
+            let s = open_stream(self.addr, self.config.io_timeout).map_err(NetError::Io)?;
             self.stream = Some(s);
+            self.read_timeout = io_floor(self.config.io_timeout);
             self.reconnects += 1;
             if fepia_obs::enabled() {
                 fepia_obs::global().counter("net.client.reconnects").inc();
             }
         }
         Ok(self.stream.as_mut().expect("just connected"))
+    }
+
+    /// The connected stream carrying read timeout `timeout`; the
+    /// `setsockopt` is skipped when the stream already has that value.
+    fn stream_with_read_timeout(
+        &mut self,
+        timeout: Option<Duration>,
+    ) -> Result<&mut TcpStream, NetError> {
+        self.stream()?;
+        let stream = self.stream.as_mut().expect("just connected");
+        if self.read_timeout != timeout {
+            stream.set_read_timeout(timeout).map_err(NetError::Io)?;
+            self.read_timeout = timeout;
+        }
+        Ok(stream)
     }
 
     /// One attempt: write the request frame, read one frame, classify it.
@@ -213,18 +239,14 @@ impl NetClient {
     ) -> Result<EvalResponse, NetError> {
         let traced = trace != 0 && trace::trace_enabled();
         let io_timeout = self.config.io_timeout;
-        let stream = self.stream()?;
         let read_timeout = match read_budget {
             Some(budget) if !io_timeout.is_zero() => Some(budget.min(io_timeout)),
             Some(budget) => Some(budget),
-            None if io_timeout.is_zero() => None,
-            None => Some(io_timeout),
+            None => io_floor(io_timeout),
         };
         // `set_read_timeout(Some(ZERO))` is an invalid argument; callers
         // guard a non-zero remaining budget before attempting.
-        stream
-            .set_read_timeout(read_timeout.filter(|t| !t.is_zero()))
-            .map_err(NetError::Io)?;
+        let stream = self.stream_with_read_timeout(read_timeout.filter(|t| !t.is_zero()))?;
         let send_started = Instant::now();
         write_frame(stream, FrameType::Request, trace, bytes).map_err(NetError::Io)?;
         if traced {
@@ -483,9 +505,12 @@ impl NetClient {
                 )));
             }
             let trace_id = if traced { TraceId::mint(req.id).0 } else { 0 };
-            let frame =
-                crate::frame::Frame::with_trace(FrameType::Request, trace_id, encode_request(req));
-            batch.extend_from_slice(&frame.encode());
+            encode_frame_into(
+                &mut batch,
+                FrameType::Request,
+                trace_id,
+                &encode_request(req),
+            );
         }
         let stream = self.stream()?;
         if let Err(e) = stream.write_all(&batch).and_then(|()| stream.flush()) {
@@ -798,5 +823,43 @@ impl NetClient {
                 "server sent a {other:?} frame to a stats poll"
             ))),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The memoized read timeout always matches the socket: after a
+    /// change, after a skipped unchanged call, and after a reconnect, where
+    /// the new socket starts back at the configured floor.
+    #[test]
+    fn read_timeout_memo_tracks_the_socket() {
+        // The kernel completes the handshake from the listen backlog, so
+        // the client connects without the test ever accepting.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let floor = Duration::from_secs(30);
+        let config = ClientConfig {
+            io_timeout: floor,
+            ..ClientConfig::default()
+        };
+        let mut client = NetClient::connect(listener.local_addr().unwrap(), config).unwrap();
+        let on_socket = |c: &NetClient| c.stream.as_ref().unwrap().read_timeout().unwrap();
+        assert_eq!(on_socket(&client), Some(floor));
+        assert_eq!(client.read_timeout, Some(floor));
+
+        let budget = Some(Duration::from_millis(20));
+        client.stream_with_read_timeout(budget).unwrap();
+        assert_eq!(on_socket(&client), budget);
+        client.stream_with_read_timeout(budget).unwrap();
+        assert_eq!(on_socket(&client), budget);
+        client.stream_with_read_timeout(Some(floor)).unwrap();
+        assert_eq!(on_socket(&client), Some(floor));
+
+        client.stream_with_read_timeout(budget).unwrap();
+        client.stream = None;
+        client.stream_with_read_timeout(budget).unwrap();
+        assert_eq!(client.reconnects(), 1);
+        assert_eq!(on_socket(&client), budget);
     }
 }

@@ -238,15 +238,36 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+fn assert_payload_fits(len: usize) {
+    assert!(
+        len <= MAX_PAYLOAD as usize,
+        "encoder produced a {len}-byte payload over the {MAX_PAYLOAD}-byte cap"
+    );
+}
+
+/// Appends one complete frame (header + payload) to `out` — the single
+/// place the header layout is written. Every encoder goes through it, so
+/// no path copies a payload into a temporary [`Frame`] first. Panics only
+/// if the payload exceeds [`MAX_PAYLOAD`] (an encoder-side bug, not
+/// reachable from network input).
+pub fn encode_frame_into(out: &mut Vec<u8>, frame_type: FrameType, trace: u64, payload: &[u8]) {
+    assert_payload_fits(payload.len());
+    out.reserve(HEADER_LEN + payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(frame_type.to_byte());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&trace.to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
 impl Frame {
     /// Builds a frame; panics only if the payload exceeds [`MAX_PAYLOAD`]
     /// (an encoder-side bug, not reachable from network input).
     pub fn new(frame_type: FrameType, payload: Vec<u8>) -> Frame {
-        assert!(
-            payload.len() <= MAX_PAYLOAD as usize,
-            "encoder produced a {}-byte payload over the {MAX_PAYLOAD}-byte cap",
-            payload.len()
-        );
+        assert_payload_fits(payload.len());
         Frame {
             frame_type,
             trace: 0,
@@ -263,15 +284,8 @@ impl Frame {
 
     /// Serializes header + payload into one buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.frame_type.to_byte());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&self.payload).to_le_bytes());
-        out.extend_from_slice(&self.trace.to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = Vec::new();
+        encode_frame_into(&mut out, self.frame_type, self.trace, &self.payload);
         out
     }
 
@@ -452,8 +466,11 @@ pub fn write_frame(
     trace: u64,
     payload: &[u8],
 ) -> std::io::Result<()> {
-    let frame = Frame::with_trace(frame_type, trace, payload.to_vec());
-    w.write_all(&frame.encode())?;
+    // One contiguous buffer, one `write_all`: header and payload leave in
+    // the same segment.
+    let mut bytes = Vec::new();
+    encode_frame_into(&mut bytes, frame_type, trace, payload);
+    w.write_all(&bytes)?;
     w.flush()
 }
 
@@ -589,10 +606,9 @@ impl FrameWriter {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        let frame = Frame::with_trace(frame_type, trace, payload.to_vec());
-        let bytes = frame.encode();
-        self.enqueued += bytes.len() as u64;
-        self.buf.extend_from_slice(&bytes);
+        let before = self.buf.len();
+        encode_frame_into(&mut self.buf, frame_type, trace, payload);
+        self.enqueued += (self.buf.len() - before) as u64;
         self.markers.push_back((
             self.enqueued,
             QueuedFrame {
@@ -911,6 +927,21 @@ mod tests {
         assert_eq!((f2.trace, f2.payload.len()), (0, 20));
         assert_eq!((f3.trace, f3.payload.len()), (13, 30));
         assert_eq!(dec.buffered(), 0);
+
+        // Byte for byte, the writer and the blocking `write_frame` emit
+        // exactly what `Frame::encode` does for the same frames.
+        let frames = [
+            Frame::with_trace(FrameType::Response, 11, vec![1; 10]),
+            Frame::with_trace(FrameType::Response, 0, vec![2; 20]),
+            Frame::with_trace(FrameType::Error, 13, vec![3; 30]),
+        ];
+        let expected: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        assert_eq!(sock.out, expected);
+        let mut blocking = Vec::new();
+        for f in &frames {
+            write_frame(&mut blocking, f.frame_type, f.trace, &f.payload).unwrap();
+        }
+        assert_eq!(blocking, expected);
     }
 
     #[test]

@@ -369,12 +369,8 @@ impl RequestPayload {
             }
             _ => {}
         }
-        let rows: Vec<Vec<f64>> = self
-            .etc_values
-            .chunks(self.machines)
-            .map(|c| c.to_vec())
-            .collect();
-        let etc = EtcMatrix::try_from_rows(rows).map_err(|e| e.to_string())?;
+        let etc = EtcMatrix::try_from_flat(self.apps, self.machines, self.etc_values)
+            .map_err(|e| e.to_string())?;
         if self.mapping_machines == 0 {
             return Err("mapping declares zero machines".into());
         }
@@ -1056,12 +1052,8 @@ impl SubmitJobPayload {
                 self.apps, self.machines
             ));
         }
-        let rows: Vec<Vec<f64>> = self
-            .etc_values
-            .chunks(self.machines)
-            .map(|c| c.to_vec())
-            .collect();
-        let etc = EtcMatrix::try_from_rows(rows).map_err(|e| e.to_string())?;
+        let etc = EtcMatrix::try_from_flat(self.apps, self.machines, self.etc_values)
+            .map_err(|e| e.to_string())?;
         let spec = JobSpec {
             etc: Arc::new(etc),
             tau: self.tau,
@@ -1482,8 +1474,14 @@ mod tests {
         payload.assignment[0] = usize::MAX;
         assert!(payload.clone().into_request().is_err());
         payload.assignment[0] = 0;
-        payload.etc_values[0] = -3.0;
-        assert!(payload.into_request().is_err());
+        // A bad entry names its (app, machine) in row-major order: the
+        // `Invalid` text on the wire.
+        let machines = good.scenario.etc().machines();
+        payload.etc_values[2 * machines + 3] = -3.0;
+        assert_eq!(
+            payload.into_request().unwrap_err(),
+            "ETC(2,3) = -3 must be positive and finite"
+        );
     }
 
     #[test]
@@ -1785,6 +1783,13 @@ mod tests {
         bad.batches = bad.population + 1;
         let payload = decode_submit_job(&encode_submit_job(1, &bad)).unwrap();
         assert!(payload.into_spec().is_err());
+        // A non-finite ETC entry is named like a request's.
+        let mut payload = decode_submit_job(&bytes).unwrap();
+        payload.etc_values[spec.etc.machines() + 1] = f64::NAN;
+        assert_eq!(
+            payload.into_spec().unwrap_err(),
+            "ETC(1,1) = NaN must be positive and finite"
+        );
         // Truncation anywhere is typed.
         for cut in 0..bytes.len() {
             assert!(decode_submit_job(&bytes[..cut]).is_err());

@@ -23,7 +23,7 @@ use fepia_core::{
 use fepia_etc::EtcMatrix;
 use fepia_mapping::{DeltaEval, Mapping};
 use fepia_optim::{Norm, VecN};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why a scenario was rejected at construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,6 +69,9 @@ pub struct Scenario {
     mapping: Mapping,
     tau: f64,
     opts: RadiusOptions,
+    /// [`Scenario::fingerprint`], hashed on first use. Sound because the
+    /// scenario is immutable.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Scenario {
@@ -93,6 +96,7 @@ impl Scenario {
             mapping,
             tau,
             opts,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -121,7 +125,13 @@ impl Scenario {
     /// [`RadiusOptions`] (norm variant + weights, all solver fields).
     /// Used for shard routing and cache slotting; exact identity is
     /// re-checked with [`same_as`](Self::same_as) on every cache hit.
+    /// Hashed at most once per scenario: routing and the cache lookup of
+    /// one request share the memo.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash())
+    }
+
+    fn hash(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.etc.apps() as u64);
         h.u64(self.etc.machines() as u64);
@@ -580,6 +590,9 @@ mod tests {
         let a = scenario(1, 1.2);
         assert_eq!(a.fingerprint(), scenario(1, 1.2).fingerprint());
         assert!(a.same_as(&scenario(1, 1.2)));
+        // The memo (kept across clones) is the hash itself.
+        assert_eq!(a.fingerprint(), a.hash());
+        assert_eq!(Scenario::clone(&a).fingerprint(), a.hash());
 
         // τ, mapping, ETC and options all feed the fingerprint.
         assert_ne!(a.fingerprint(), scenario(1, 1.25).fingerprint());
