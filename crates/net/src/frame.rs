@@ -5,13 +5,13 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  = b"FEPN"
-//! 4       1     version = 3
+//! 4       1     version = 4
 //! 5       1     frame type (1 request, 2 response, 3 error,
 //!               4 stats request, 5 stats response, 6 submit job,
 //!               7 job status, 8 job result, 9 cancel job)
 //! 6       2     reserved, must be 0 (LE)
 //! 8       4     payload length in bytes (LE)
-//! 12      8     FNV-1a 64 checksum of the payload (LE)
+//! 12      8     payload checksum (LE), fepia_obs::hash::checksum
 //! 20      8     trace id (LE; 0 = untraced)
 //! 28      n     payload
 //! ```
@@ -27,9 +27,19 @@
 //! Version 3 keeps the header layout and changes the payloads: requests
 //! carry a relative deadline (microseconds, 0 = none), responses carry a
 //! disposition byte (full / brownout / deadline-exceeded), and the stats
-//! reply grows deadline/brownout counters. A v2 frame against a v3
-//! endpoint yields a typed [`DecodeError::UnsupportedVersion`] — never a
-//! mis-parse, panic, or hang.
+//! reply grows deadline/brownout counters.
+//!
+//! Version 4 keeps the header layout and the payloads and changes the
+//! checksum: byte-serial FNV-1a 64 gave way to the word-at-a-time
+//! [`fepia_obs::hash::checksum`] (four 64-bit lanes over 32-byte blocks),
+//! so each payload is hashed a word at a time, once to write and once to
+//! verify. Any change confined to one 8-byte word — every single-byte or
+//! single-bit corruption — still changes the checksum.
+//!
+//! A frame from an older version yields a typed
+//! [`DecodeError::UnsupportedVersion`] — never a mis-parse, panic, or
+//! hang. The version byte is judged before the checksum is read, so a v3
+//! peer sees the version error, not a [`DecodeError::ChecksumMismatch`].
 //!
 //! Decoding is total: every malformed input maps to a typed
 //! [`DecodeError`] — bad magic, unknown version or type, a length that
@@ -44,12 +54,13 @@
 //! mid-payload), turning them into [`DecodeError::ChecksumMismatch`] or
 //! [`DecodeError::Truncated`] instead of a mis-parsed payload.
 
+use fepia_obs::hash::checksum;
 use std::io::{Read, Write};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"FEPN";
 /// The one wire-protocol version this build speaks.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 28;
 /// Hard cap on payload size; larger claims are rejected before allocation.
@@ -227,8 +238,9 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// FNV-1a 64 over raw bytes — the frame payload checksum (and the same
-/// function the service uses for scenario fingerprints).
+/// Byte-serial FNV-1a 64 over raw bytes: a stable byte hash for callers
+/// that digest encoded payloads. The frame checksum is
+/// [`fepia_obs::hash::checksum`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -258,7 +270,7 @@ pub fn encode_frame_into(out: &mut Vec<u8>, frame_type: FrameType, trace: u64, p
     out.push(frame_type.to_byte());
     out.extend_from_slice(&0u16.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
     out.extend_from_slice(&trace.to_le_bytes());
     out.extend_from_slice(payload);
 }
@@ -306,13 +318,7 @@ impl Frame {
             });
         }
         let payload = &rest[..len];
-        let actual = fnv1a(payload);
-        if actual != header.checksum {
-            return Err(DecodeError::ChecksumMismatch {
-                expected: header.checksum,
-                actual,
-            });
-        }
+        header.verify(payload)?;
         Ok(Frame {
             frame_type: header.frame_type,
             trace: header.trace,
@@ -332,6 +338,21 @@ pub struct FrameHeader {
     pub checksum: u64,
     /// Trace id (0 = untraced).
     pub trace: u64,
+}
+
+impl FrameHeader {
+    /// Checks `payload` against the claimed checksum — the one place a
+    /// received payload is verified.
+    fn verify(&self, payload: &[u8]) -> Result<(), DecodeError> {
+        let actual = checksum(payload);
+        if actual != self.checksum {
+            return Err(DecodeError::ChecksumMismatch {
+                expected: self.checksum,
+                actual,
+            });
+        }
+        Ok(())
+    }
 }
 
 fn decode_header(bytes: &[u8]) -> Result<(FrameHeader, &[u8]), DecodeError> {
@@ -438,13 +459,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameReadError> {
             Err(e) => return Err(FrameReadError::Io(e)),
         }
     }
-    let actual = fnv1a(&payload);
-    if actual != parsed.checksum {
-        return Err(FrameReadError::Decode(DecodeError::ChecksumMismatch {
-            expected: parsed.checksum,
-            actual,
-        }));
-    }
+    parsed.verify(&payload).map_err(FrameReadError::Decode)?;
     Ok(Frame {
         frame_type: parsed.frame_type,
         trace: parsed.trace,
@@ -532,13 +547,7 @@ impl FrameDecoder {
             return Ok(None);
         }
         let payload = &avail[HEADER_LEN..HEADER_LEN + len];
-        let actual = fnv1a(payload);
-        if actual != header.checksum {
-            return Err(DecodeError::ChecksumMismatch {
-                expected: header.checksum,
-                actual,
-            });
-        }
+        header.verify(payload)?;
         let frame = Frame {
             frame_type: header.frame_type,
             trace: header.trace,
@@ -754,6 +763,33 @@ mod tests {
             Frame::decode(&m),
             Err(DecodeError::ChecksumMismatch { .. })
         ));
+    }
+
+    /// The header carries the word-wise checksum of the payload, and each
+    /// of the 46,096 single-bit flips of a 64-move probe request's payload
+    /// (a 5790-byte frame) changes it.
+    #[test]
+    fn every_bit_flip_of_a_request_payload_changes_the_checksum() {
+        use fepia_serve::workload::{moves_request, scenario_pool, WorkloadSpec};
+        let spec = WorkloadSpec {
+            seed: 9001,
+            apps: 64,
+            machines: 8,
+            moves_per_request: 64,
+            ..WorkloadSpec::default()
+        };
+        let pool = scenario_pool(&spec);
+        let payload = crate::wire::encode_request(&moves_request(&spec, &pool, 0));
+        assert_eq!(payload.len() + HEADER_LEN, 5790);
+        let sum = checksum(&payload);
+        let bytes = Frame::new(FrameType::Request, payload.clone()).encode();
+        assert_eq!(bytes[12..20], sum.to_le_bytes());
+        let mut m = payload;
+        for bit in 0..m.len() * 8 {
+            m[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(checksum(&m), sum, "bit {bit}");
+            m[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]

@@ -118,6 +118,10 @@ impl Default for ServerConfig {
 /// (a slow consumer must drain before it may submit more work).
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
+/// Most bytes one `read` on a connection takes; a read that returns fewer
+/// means the socket is drained for now.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Always-on server counters (mirrored to `fepia-obs` when enabled).
 #[derive(Default)]
 struct NetStats {
@@ -375,6 +379,9 @@ struct EventLoop {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u64,
+    /// The one buffer every connection read lands in: allocated and zeroed
+    /// once, so a readable event touches only the bytes it reads.
+    read_buf: Box<[u8]>,
     /// Admission epoch for the incremental in-flight-time account.
     epoch: Instant,
     /// Requests submitted to the service and not yet completed, across all
@@ -415,6 +422,7 @@ impl EventLoop {
             conns: Vec::new(),
             free: Vec::new(),
             next_gen: 0,
+            read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
             epoch: Instant::now(),
             in_flight_global: 0,
             admitted_sum_ns: 0,
@@ -734,7 +742,6 @@ impl EventLoop {
     /// after it re-arm the socket on the next iteration — no extra `read`
     /// just to collect `EAGAIN`.
     fn read_conn(&mut self, slot: usize) {
-        let mut buf = [0u8; 64 * 1024];
         loop {
             let Some(conn) = &mut self.conns[slot] else {
                 return;
@@ -742,7 +749,7 @@ impl EventLoop {
             if conn.read_closed || conn.dead {
                 return;
             }
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     conn.read_closed = true;
                     if conn.decoder.buffered() > 0 {
@@ -754,14 +761,14 @@ impl EventLoop {
                     break;
                 }
                 Ok(n) => {
-                    conn.decoder.extend(&buf[..n]);
+                    conn.decoder.extend(&self.read_buf[..n]);
                     // Decode eagerly so a full window stops the read loop
                     // (backpressure) instead of buffering unboundedly.
                     self.process_frames(slot);
                     let Some(conn) = &self.conns[slot] else {
                         return;
                     };
-                    if n < buf.len()
+                    if n < READ_CHUNK
                         || conn.read_closed
                         || conn.dead
                         || conn.in_flight >= self.window

@@ -13,6 +13,9 @@
 //!    [`EventSink`] ([`JsonlSink`] to a file, [`NullSink`] to nowhere).
 //!    [`RunManifest`] describes a whole run next to its outputs.
 //!
+//! Alongside them, [`hash`] holds the workspace's word-at-a-time hash: the
+//! wire frame checksum and the word hasher behind scenario fingerprints.
+//!
 //! # Enabling
 //!
 //! Everything is off by default and the disabled paths are a single relaxed
@@ -52,6 +55,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 
 pub mod analyzer;
+pub mod hash;
 pub mod json;
 pub mod manifest;
 pub mod registry;

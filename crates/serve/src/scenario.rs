@@ -8,12 +8,13 @@
 //! identical to the legacy one-shot path. The differential oracle test at
 //! the workspace root holds the service to that.
 //!
-//! Identity is two-tier: [`Scenario::fingerprint`] is a 64-bit FNV-1a hash
-//! over every bit that can change a result (ETC values, assignment, τ,
-//! the full option set) used for shard routing and cache slotting, and
-//! [`Scenario::same_as`] is the exact bitwise comparison that guards
-//! against fingerprint collisions — a colliding-but-different scenario is
-//! recompiled, never served from the wrong plan.
+//! Identity is two-tier: [`Scenario::fingerprint`] is a 64-bit word hash
+//! ([`fepia_obs::hash::WordHasher`]) over every bit that can change a
+//! result (ETC values, assignment, τ, the full option set) used for shard
+//! routing and cache slotting, and [`Scenario::same_as`] is the exact
+//! bitwise comparison that guards against fingerprint collisions — a
+//! colliding-but-different scenario is recompiled, never served from the
+//! wrong plan.
 
 use fepia_core::{
     AnalysisPlan, CoreError, CurvePlan, CurveRefineOptions, EvalBudget, FeatureSpec, FepiaAnalysis,
@@ -22,6 +23,7 @@ use fepia_core::{
 };
 use fepia_etc::EtcMatrix;
 use fepia_mapping::{DeltaEval, Mapping};
+use fepia_obs::hash::WordHasher;
 use fepia_optim::{Norm, VecN};
 use std::sync::{Arc, OnceLock};
 
@@ -120,19 +122,20 @@ impl Scenario {
         &self.opts
     }
 
-    /// 64-bit FNV-1a fingerprint over every input bit that can change a
-    /// result: matrix shape and values, assignment, τ, and the complete
-    /// [`RadiusOptions`] (norm variant + weights, all solver fields).
-    /// Used for shard routing and cache slotting; exact identity is
-    /// re-checked with [`same_as`](Self::same_as) on every cache hit.
-    /// Hashed at most once per scenario: routing and the cache lookup of
-    /// one request share the memo.
+    /// 64-bit fingerprint over every input bit that can change a result:
+    /// matrix shape and values, assignment, τ, and the complete
+    /// [`RadiusOptions`] (norm variant + weights, all solver fields), fed
+    /// to a [`WordHasher`] one `u64` word each (588 words for a 64×8
+    /// scenario). Used for shard routing and cache slotting; exact
+    /// identity is re-checked with [`same_as`](Self::same_as) on every
+    /// cache hit. Hashed at most once per scenario: routing and the cache
+    /// lookup of one request share the memo.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| self.hash())
     }
 
     fn hash(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = WordHasher::new();
         h.u64(self.etc.apps() as u64);
         h.u64(self.etc.machines() as u64);
         for &v in self.etc.values() {
@@ -318,11 +321,12 @@ impl CurveSpec {
         }
     }
 
-    /// 64-bit FNV-1a fingerprint of the grid (tag + every level/field's
-    /// IEEE bits). Combined with [`Scenario::fingerprint`] this keys a
-    /// curve request: specs differing in any grid bit get different keys.
+    /// 64-bit [`WordHasher`] fingerprint of the grid (tag + every
+    /// level/field's IEEE bits). Combined with [`Scenario::fingerprint`]
+    /// this keys a curve request: specs differing in any grid bit get
+    /// different keys.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = WordHasher::new();
         match &self.grid {
             CurveGrid::Explicit(levels) => {
                 h.u64(1);
@@ -350,7 +354,7 @@ impl CurveSpec {
     /// The request-level cache key: scenario identity and grid identity
     /// folded together.
     pub fn request_key(&self, scenario_fingerprint: u64) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = WordHasher::new();
         h.u64(scenario_fingerprint);
         h.u64(self.fingerprint());
         h.finish()
@@ -523,26 +527,6 @@ impl CompiledScenario {
                 PlanVerdict::from_radii(vec![v])
             })
             .collect()
-    }
-}
-
-/// FNV-1a over 64-bit words (little-endian byte order).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

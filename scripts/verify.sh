@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo verification gate: formatting, lints, tier-1 build+test, full
-# workspace tests. Run from anywhere; exits non-zero on the first failure.
+# Repo verification gate: formatting, lints (workspace and benchmark
+# package), tier-1 build+test, full workspace tests. Run from anywhere;
+# exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,6 +10,15 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# The benchmark package is its own workspace, so the two commands above
+# stop short of it; lint it here so a crate API change that breaks it
+# fails verification, not only the benchmark smoke job.
+echo "==> benchmark: cargo fmt --check"
+cargo fmt --manifest-path benchmark/Cargo.toml --check
+
+echo "==> benchmark: cargo clippy -- -D warnings"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

@@ -8,12 +8,14 @@
 //! stay sound (their metric interval contains the chaos-off full-precision
 //! metric) and bitwise-reproducible across same-seed runs.
 //!
-//! Also here: the v2-vs-v3 wire-version negotiation regression (a typed
-//! error frame, never a panic or hang) and the stalled-server client
+//! Also here: the wire-version negotiation regression (a stale frame gets
+//! a typed error frame, never a panic or hang) and the stalled-server client
 //! timeout regression (accept-then-silent listeners used to hang
 //! `NetClient::call` forever).
 
-use fepia::net::frame::{read_frame, write_frame, Frame, FrameType, HEADER_LEN};
+use fepia::net::frame::{
+    fnv1a, read_frame, write_frame, DecodeError, Frame, FrameType, HEADER_LEN, MAGIC, VERSION,
+};
 use fepia::net::wire::{
     decode_error, decode_response, encode_request, encode_request_with_deadline, WireError,
 };
@@ -341,9 +343,9 @@ fn admission_shed_is_typed_and_counts() {
     drop(service);
 }
 
-/// Wire-version negotiation (satellite): a v2 frame against the v3 server
-/// is answered with a typed error frame naming the version — never a
-/// decode panic, a mis-parse, or a hang.
+/// Wire-version negotiation (satellite): a frame from the previous wire
+/// version is answered with a typed error frame naming that version —
+/// never a decode panic, a mis-parse, a checksum error, or a hang.
 #[test]
 fn v2_frame_yields_typed_version_error_not_a_hang() {
     let _guard = net_guard();
@@ -356,35 +358,44 @@ fn v2_frame_yields_typed_version_error_not_a_hang() {
     let server = NetServer::start(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
         .expect("start server");
 
-    let mut conn = raw_conn(server.local_addr());
-    // A well-formed v3 frame rewritten to claim version 2: the version
-    // byte is outside the checksum, so this is exactly what a stale v2
-    // client would send.
-    let mut bytes = Frame::new(
-        FrameType::Request,
-        encode_request(&request(&spec, &pool, 0)),
-    )
-    .encode();
-    assert_eq!(bytes[4], 3, "this build speaks wire v3");
-    bytes[4] = 2;
-    use std::io::Write as _;
-    conn.write_all(&bytes).unwrap();
-    conn.flush().unwrap();
+    let payload = encode_request(&request(&spec, &pool, 0));
+    // A well-formed current frame rewritten to claim the previous version:
+    // the version byte is outside the checksum.
+    let mut stale = Frame::new(FrameType::Request, payload.clone()).encode();
+    assert_eq!(stale[4], VERSION);
+    stale[4] = VERSION - 1;
+    // A complete frame built the v3 way: FNV-1a checksum, version byte 3.
+    // The version is judged before the checksum, so the error is typed as
+    // a version error, not a checksum mismatch.
+    let mut v3 = MAGIC.to_vec();
+    v3.extend_from_slice(&[3, 1, 0, 0]); // version, request type, reserved
+    v3.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    v3.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    v3.extend_from_slice(&0u64.to_le_bytes());
+    v3.extend_from_slice(&payload);
+    assert_eq!(Frame::decode(&v3), Err(DecodeError::UnsupportedVersion(3)));
 
-    let frame = read_frame(&mut conn).expect("typed error frame, not a hang");
-    assert_eq!(frame.frame_type, FrameType::Error);
-    let (id, err) = decode_error(&frame.payload).unwrap();
-    assert_eq!(id, 0, "version errors cannot echo an id they never decoded");
-    match err {
-        WireError::Invalid(msg) => assert!(
-            msg.contains("unsupported protocol version 2"),
-            "error must name the offending version: {msg}"
-        ),
-        other => panic!("expected Invalid, got {other:?}"),
+    for (bytes, version) in [(stale, VERSION - 1), (v3, 3)] {
+        let mut conn = raw_conn(server.local_addr());
+        use std::io::Write as _;
+        conn.write_all(&bytes).unwrap();
+        conn.flush().unwrap();
+
+        let frame = read_frame(&mut conn).expect("typed error frame, not a hang");
+        assert_eq!(frame.frame_type, FrameType::Error);
+        let (id, err) = decode_error(&frame.payload).unwrap();
+        assert_eq!(id, 0, "version errors cannot echo an id they never decoded");
+        match err {
+            WireError::Invalid(msg) => assert!(
+                msg.contains(&format!("unsupported protocol version {version}")),
+                "error must name the offending version: {msg}"
+            ),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        // The server closed the stream after the protocol error; the next
+        // read is EOF, not a hang.
+        assert!(read_frame(&mut conn).is_err());
     }
-    // The server closed the stream after the protocol error; the next
-    // read is EOF, not a hang.
-    assert!(read_frame(&mut conn).is_err());
     server.shutdown();
     drop(service);
 }
@@ -497,10 +508,10 @@ fn deadline_call_on_healthy_server_is_full_precision() {
     drop(service);
 }
 
-/// The header-size constant is part of the v3 contract: the version bump
-/// changed payloads, not the frame header.
+/// The header size is part of the wire contract: v3 changed the payloads
+/// and v4 the payload checksum, never the 28-byte frame header.
 #[test]
 fn v3_keeps_the_28_byte_header() {
     assert_eq!(HEADER_LEN, 28);
-    assert_eq!(fepia::net::VERSION, 3);
+    assert_eq!(fepia::net::VERSION, 4);
 }
