@@ -2,7 +2,7 @@
 //!
 //! The acceptance bar is "< 2% overhead on the verdict evaluation path with
 //! `FEPIA_CHAOS` unset". Like `obs_overhead`, the bench bounds the overhead
-//! from above: it measures (a) one full numeric `evaluate_verdict` solve
+//! from above: it measures (a) one full numeric `AnalysisPlan::verdict` solve
 //! with chaos disabled and (b) the disabled-path cost of the chaos
 //! primitives themselves (`enabled()` plus an inert `poison_f64`), then
 //! charges a generous 32 primitive operations per evaluation (far more
@@ -16,8 +16,8 @@
 
 use fepia_bench::outdir::results_dir;
 use fepia_core::{
-    AnalysisPlan, FeatureSpec, FepiaAnalysis, FnImpact, Perturbation, RadiusOptions,
-    ResiliencePolicy, Tolerance,
+    AnalysisPlan, EvalBudget, FeatureSpec, FepiaAnalysis, FnImpact, Perturbation, PlanWorkspace,
+    RadiusOptions, ResiliencePolicy, Tolerance,
 };
 use fepia_optim::VecN;
 use std::hint::black_box;
@@ -68,18 +68,33 @@ fn main() {
     let policy = ResiliencePolicy::default();
 
     // Warm-up.
-    black_box(plan.evaluate_verdict(&origin, &policy));
+    black_box(plan.verdict(
+        &origin,
+        &mut PlanWorkspace::new(),
+        &policy,
+        EvalBudget::UNLIMITED,
+        None,
+    ));
 
     let verdict_ns = time_ns(
         || {
-            black_box(plan.evaluate_verdict(&origin, &policy));
+            black_box(plan.verdict(
+                &origin,
+                &mut PlanWorkspace::new(),
+                &policy,
+                EvalBudget::UNLIMITED,
+                None,
+            ));
         },
         solve_batch,
         solve_samples,
     );
     let exact_ns = time_ns(
         || {
-            black_box(plan.evaluate(&origin).expect("evaluates"));
+            black_box(
+                plan.evaluate(&origin, &mut PlanWorkspace::new())
+                    .expect("evaluates"),
+            );
         },
         solve_batch,
         solve_samples,
@@ -98,7 +113,7 @@ fn main() {
 
     const PRIMITIVES_PER_EVAL: f64 = 32.0; // real count per verdict is far lower
     let overhead_pct = 100.0 * PRIMITIVES_PER_EVAL * prim_ns / verdict_ns;
-    println!("evaluate_verdict (chaos disabled):  {verdict_ns:.0} ns/origin");
+    println!("verdict (chaos disabled):           {verdict_ns:.0} ns/origin");
     println!("evaluate (exact PR 2 path):         {exact_ns:.0} ns/origin");
     println!("disabled chaos primitive:           {prim_ns:.2} ns");
     println!(

@@ -67,7 +67,7 @@ fn main() {
     // Populate the plan cache so the curve phase measures the warm path.
     for s in 0..pool.len() {
         let resp = service
-            .call_blocking(curve_req(s as u64, s))
+            .call(curve_req(s as u64, s))
             .expect("warmup accepted");
         assert_eq!(resp.verdicts.len(), levels.len());
     }
@@ -76,7 +76,7 @@ fn main() {
     let t0 = Instant::now();
     for i in 0..warm_sweeps {
         let resp = service
-            .call_blocking(curve_req(1_000 + i, (i as usize) % pool.len()))
+            .call(curve_req(1_000 + i, (i as usize) % pool.len()))
             .expect("warm curve accepted");
         assert_eq!(resp.cache, Some(CacheOutcome::Hit), "warm phase must hit");
         assert_eq!(resp.verdicts.len(), levels.len());
@@ -103,7 +103,7 @@ fn main() {
                 .expect("jittered tau stays valid"),
             );
             let resp = service
-                .call_blocking(EvalRequest {
+                .call(EvalRequest {
                     id: 100_000 + i * levels.len() as u64 + k as u64,
                     scenario: solo,
                     kind: EvalKind::Verdict,

@@ -71,7 +71,7 @@ fn main() {
     let mut warm_client = NetClient::connect(addr, ClientConfig::default()).expect("connect");
     for s in 0..pool.len() {
         let req = moves_request(&spec, &pool[s..=s], s as u64);
-        let expected = reference.call_blocking(req.clone()).expect("reference");
+        let expected = reference.call(req.clone()).expect("reference");
         let over_tcp = warm_client.call(&req).expect("warmup over TCP");
         assert_eq!(
             encode_response(&over_tcp),

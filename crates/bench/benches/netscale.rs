@@ -130,7 +130,7 @@ fn main() {
         .call_pipelined(&warm_reqs)
         .expect("pipelined warmup");
     for (s, (req, got)) in warm_reqs.iter().zip(&over_tcp).enumerate() {
-        let expected = reference.call_blocking(req.clone()).expect("reference");
+        let expected = reference.call(req.clone()).expect("reference");
         assert_eq!(
             encode_response(got),
             encode_response(&expected),

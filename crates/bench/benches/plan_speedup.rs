@@ -29,6 +29,7 @@ use fepia_core::{
 use fepia_etc::{generate_cvb, EtcParams};
 use fepia_mapping::{makespan_robustness, DeltaEval, Mapping};
 use fepia_optim::VecN;
+use fepia_par::ParConfig;
 use fepia_stats::rng_for;
 use rand::Rng;
 use std::hint::black_box;
@@ -164,7 +165,9 @@ fn batch_eval(quick: bool) -> (f64, f64) {
     let plan = fresh_analysis(&origins[0])
         .compile(&opts)
         .expect("compiles");
-    let batched = plan.evaluate_batch(&origins).expect("evaluates");
+    let batched = plan
+        .evaluate_batch(&origins, &ParConfig::with_threads(1))
+        .expect("evaluates");
     for (origin, evaluation) in origins.iter().zip(&batched) {
         let report = fresh_analysis(origin).run(&opts).expect("runs");
         assert_eq!(
@@ -191,7 +194,9 @@ fn batch_eval(quick: bool) -> (f64, f64) {
             let plan = fresh_analysis(&origins[0])
                 .compile(&opts)
                 .expect("compiles");
-            let evaluations = plan.evaluate_batch(&origins).expect("evaluates");
+            let evaluations = plan
+                .evaluate_batch(&origins, &ParConfig::with_threads(1))
+                .expect("evaluates");
             black_box(&evaluations);
             origins.len()
         },

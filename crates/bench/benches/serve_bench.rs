@@ -59,7 +59,7 @@ fn main() {
         let EvalKind::Moves(moves) = req.kind.clone() else {
             unreachable!("moves_request always yields Moves");
         };
-        let resp = service.call_blocking(req).expect("warmup accepted");
+        let resp = service.call(req).expect("warmup accepted");
         for (v, &(app, dst)) in resp.verdicts.iter().zip(&moves) {
             let mut moved = scenario.mapping().clone();
             moved.reassign(app, dst);
@@ -87,7 +87,7 @@ fn main() {
                     while index < requests {
                         let req = moves_request(spec, pool, 1_000 + index);
                         let t1 = Instant::now();
-                        let resp = service.call_blocking(req).expect("bench accepted");
+                        let resp = service.call(req).expect("bench accepted");
                         lats.push(t1.elapsed().as_nanos() as f64 / 1_000.0);
                         assert_eq!(resp.verdicts.len(), spec.moves_per_request);
                         index += CLIENTS as u64;

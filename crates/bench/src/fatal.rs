@@ -4,8 +4,9 @@
 //! results directory, a sweep that produced no usable data) the right move
 //! is a diagnostic naming the failing call site and a non-zero exit, not a
 //! panic with a backtrace pointing into library code. [`OrFail`] replaces
-//! the `.expect("write CSV")` pattern: [`or_fail!`] captures `file!()` /
-//! `line!()` at the call site and routes the error text to stderr.
+//! the `.expect("write CSV")` pattern: [`or_fail!`](crate::or_fail)
+//! captures `file!()` / `line!()` at the call site and routes the error
+//! text to stderr.
 
 use std::fmt::Display;
 
@@ -21,7 +22,8 @@ pub fn fatal_message(context: &str, detail: Option<&str>, file: &str, line: u32)
 }
 
 /// Extension trait unwrapping `Result`/`Option` with a call-site diagnostic
-/// and a clean process exit instead of a panic. Use via [`or_fail!`].
+/// and a clean process exit instead of a panic. Use via
+/// [`or_fail!`](crate::or_fail).
 pub trait OrFail<T> {
     /// The error detail this carrier reports, if any.
     fn fail_detail(&self) -> Option<String>;

@@ -50,6 +50,7 @@
 //! When `fepia-obs` is enabled, every fired injection bumps a
 //! `chaos.injected.<kind>` counter.
 
+use fepia_obs::hash::{fnv1a, splitmix64};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
 
@@ -168,30 +169,13 @@ pub fn clear() {
     configure(None);
 }
 
-/// FNV-1a over the site name: stable, cheap, good enough to spread sites
-/// across slots and decorrelate their decision streams.
-fn fnv1a(site: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in site.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: one well-mixed u64 from one input u64.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// One decision draw for `site`: a pure function of `(seed, site, draw
 /// index)`. Returns the mixed u64 alongside the fire decision so value
 /// hooks ([`poison_f64`], [`maybe_delay`]) can reuse the entropy.
 fn draw(site: &str) -> (bool, u64) {
-    let h = fnv1a(site);
+    // FNV-1a over the site name: stable, cheap, good enough to spread
+    // sites across slots and decorrelate their decision streams.
+    let h = fnv1a(site.as_bytes());
     let idx = DRAWS[(h as usize) % SITE_SLOTS].fetch_add(1, Ordering::Relaxed);
     let mixed = splitmix64(SEED.load(Ordering::Relaxed) ^ h ^ idx.wrapping_mul(0x2545f4914f6cdd1d));
     (mixed < THRESHOLD.load(Ordering::Relaxed), mixed)

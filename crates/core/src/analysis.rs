@@ -9,7 +9,7 @@ use crate::error::CoreError;
 use crate::feature::FeatureSpec;
 use crate::impact::Impact;
 use crate::perturbation::Perturbation;
-use crate::plan::AnalysisPlan;
+use crate::plan::{AnalysisPlan, EvalBudget};
 use crate::radius::{RadiusOptions, RadiusResult};
 use crate::verdict::{FailReason, PlanVerdict, ResiliencePolicy, VerdictKind};
 use std::sync::{Arc, Mutex};
@@ -32,7 +32,8 @@ pub struct RobustnessReport {
     pub metric: f64,
     /// Index (into `radii`) of the binding feature attaining the minimum.
     pub binding: usize,
-    /// For a [`Domain::Discrete`] perturbation the paper floors the metric
+    /// For a [`Domain::Discrete`](crate::perturbation::Domain::Discrete)
+    /// perturbation the paper floors the metric
     /// ("ρ should not have fractional values"); `None` for continuous
     /// parameters.
     pub floored_metric: Option<f64>,
@@ -184,11 +185,17 @@ impl FepiaAnalysis {
     /// Fault-tolerant analogue of [`run`](Self::run): never fails, never
     /// panics through — every outcome (including a compile error) becomes a
     /// typed [`PlanVerdict`]. The workhorse of degraded sweeps; see
-    /// [`AnalysisPlan::evaluate_verdict`] for the per-origin semantics.
+    /// [`AnalysisPlan::verdict`] for the per-origin semantics.
     pub fn run_verdict(&self, opts: &RadiusOptions, policy: &ResiliencePolicy) -> PlanVerdict {
         let _span = fepia_obs::span!("core.analysis.run_verdict");
         match self.compile(opts) {
-            Ok(plan) => plan.evaluate_verdict(&self.perturbation.origin, policy),
+            Ok(plan) => plan.verdict(
+                &self.perturbation.origin,
+                &mut plan.workspace(),
+                policy,
+                EvalBudget::UNLIMITED,
+                None,
+            ),
             Err(e) => PlanVerdict::all_failed(
                 self.features.len().max(1),
                 FailReason::Solver(e.to_string()),

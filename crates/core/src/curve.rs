@@ -10,11 +10,10 @@
 //! workspace level to level.
 //!
 //! **Bitwise oracle invariant:** a curve point at level τ is *bitwise
-//! identical* to an independent single-τ
-//! [`AnalysisPlan::evaluate_verdict_budgeted_with`] call on a plan whose
-//! feature tolerances were built at τ. [`CurvePlan`] only swaps the
-//! tolerance each feature is judged against
-//! ([`AnalysisPlan::evaluate_verdict_budgeted_with_tolerances`]); every
+//! identical* to an independent single-τ [`AnalysisPlan::verdict`] call
+//! on a plan whose feature tolerances were built at τ. [`CurvePlan`] only
+//! swaps the tolerance each feature is judged against (the `tolerances`
+//! argument of [`AnalysisPlan::verdict`]); every
 //! other float operation — the dot product, the residual, the division
 //! by the pre-computed dual norm — is the same code in the same order.
 //! `tests/curve_equivalence.rs` pins this end to end (cold, cached, over
@@ -242,9 +241,7 @@ impl CurvePlan {
         budget: EvalBudget,
     ) -> CurvePoint {
         let tols = tolerances_at(level);
-        let verdict = self
-            .plan
-            .evaluate_verdict_budgeted_with_tolerances(origin, &tols, ws, policy, budget);
+        let verdict = self.plan.verdict(origin, ws, policy, budget, Some(&tols));
         CurvePoint { level, verdict }
     }
 }
@@ -331,12 +328,12 @@ mod tests {
         assert_eq!(cv.points.len(), levels.len());
         assert!(cv.monotone);
         for p in &cv.points {
-            let solo = plan.evaluate_verdict_budgeted_with_tolerances(
+            let solo = plan.verdict(
                 &origin,
-                &tols(p.level),
                 &mut plan.workspace(),
                 &policy,
                 EvalBudget::UNLIMITED,
+                Some(&tols(p.level)),
             );
             assert_eq!(p.verdict.kind, VerdictKind::Exact);
             assert_eq!(p.verdict.metric_lo.to_bits(), solo.metric_lo.to_bits());

@@ -9,10 +9,10 @@
 //! dominates. [`AnalysisPlan`] moves it to compile time:
 //!
 //! * **Affine features** are packed into one contiguous structure-of-arrays
-//!   block ([`CompiledAffine`]): coefficients row-major, constants and
+//!   block (`CompiledAffine`): coefficients row-major, constants and
 //!   pre-computed dual norms alongside. Evaluating a block row is a dot
 //!   product, a residual and a division — no allocation, no virtual call.
-//! * **Numeric features** ([`CompiledNumeric`]) keep their impact behind an
+//! * **Numeric features** (`CompiledNumeric`) keep their impact behind an
 //!   `Arc<dyn Impact>` and run through the same
 //!   [`radius_inner`](crate::radius) code path as the legacy API, with a
 //!   reusable [`fepia_optim::SolverWorkspace`] so repeated solves skip the
@@ -24,9 +24,20 @@
 //! numeric entries literally share the legacy code. Property tests in the
 //! workspace root pin this.
 //!
+//! **Entry points**, one per result shape:
+//!
+//! * [`AnalysisPlan::evaluate`] — the metric and radii at one origin;
+//! * [`AnalysisPlan::evaluate_batch`] — the same over many origins;
+//! * [`AnalysisPlan::evaluate_report`] — the full report with boundary
+//!   points, behind [`crate::FepiaAnalysis::run`];
+//! * [`AnalysisPlan::verdict`] — the fault-tolerant classified verdict,
+//!   under a work budget and optional per-feature tolerance overrides;
+//! * [`AnalysisPlan::verdict_batch`] — the same over many origins, with
+//!   worker panics contained per origin.
+//!
 //! The plan is immutable, `Send + Sync`, and shared via `Arc`, so parallel
-//! sweeps ([`AnalysisPlan::evaluate_batch_par`]) compile once and evaluate
-//! everywhere; per-worker mutable scratch lives in [`PlanWorkspace`].
+//! sweeps compile once and evaluate everywhere; per-worker mutable scratch
+//! lives in [`PlanWorkspace`].
 
 use crate::analysis::{FeatureRadius, RobustnessReport};
 use crate::error::CoreError;
@@ -45,7 +56,8 @@ use fepia_optim::{
     SolverOptions, SolverWorkspace, VecN,
 };
 use fepia_par::{
-    par_map_dynamic_catch_with, par_map_dynamic_with, CatchConfig, ParConfig, TaskError,
+    panic_message, par_map_dynamic_catch_with, par_map_dynamic_with, CatchConfig, ParConfig,
+    TaskError,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -351,9 +363,10 @@ impl AnalysisPlan {
         self.affine.constants[r]
     }
 
-    /// Evaluates the metric at `origin` with caller-provided scratch. The
-    /// core fast path: one allocation (the radii vector) per call.
-    pub fn evaluate_with(
+    /// Evaluates the metric at `origin` with caller-provided scratch (one
+    /// workspace per thread, reused across calls). The core fast path: one
+    /// allocation (the radii vector) per call.
+    pub fn evaluate(
         &self,
         origin: &VecN,
         ws: &mut PlanWorkspace,
@@ -381,33 +394,12 @@ impl AnalysisPlan {
         })
     }
 
-    /// [`Self::evaluate_with`] with a throwaway workspace.
-    pub fn evaluate(&self, origin: &VecN) -> Result<PlanEvaluation, CoreError> {
-        let mut ws = self.workspace();
-        self.evaluate_with(origin, &mut ws)
-    }
-
-    /// Evaluates the plan at every origin, sequentially, sharing one
-    /// workspace across the whole batch.
-    pub fn evaluate_batch(&self, origins: &[VecN]) -> Result<Vec<PlanEvaluation>, CoreError> {
-        let _span = fepia_obs::span!("core.plan.batch");
-        let mut ws = self.workspace();
-        let out: Result<Vec<_>, _> = origins
-            .iter()
-            .map(|origin| self.evaluate_with(origin, &mut ws))
-            .collect();
-        if fepia_obs::enabled() {
-            fepia_obs::global()
-                .counter("plan.eval.batch.items")
-                .add(origins.len() as u64);
-        }
-        out
-    }
-
-    /// Parallel batch evaluation over the `fepia-par` dynamic driver: one
-    /// [`PlanWorkspace`] per worker, results in input order, bitwise
-    /// identical to [`Self::evaluate_batch`] for any thread count.
-    pub fn evaluate_batch_par(
+    /// Evaluates the plan at every origin over the `fepia-par` dynamic
+    /// driver: one [`PlanWorkspace`] per worker, results in input order,
+    /// bitwise identical to one [`Self::evaluate`] per origin for any
+    /// thread count. `ParConfig::with_threads(1)` is the sequential batch:
+    /// one workspace shared across every origin.
+    pub fn evaluate_batch(
         &self,
         origins: &[VecN],
         cfg: &ParConfig,
@@ -415,7 +407,7 @@ impl AnalysisPlan {
         let _span = fepia_obs::span!("core.plan.batch");
         let out: Result<Vec<_>, _> =
             par_map_dynamic_with(origins, cfg, PlanWorkspace::new, |ws, _i, origin: &VecN| {
-                self.evaluate_with(origin, ws)
+                self.evaluate(origin, ws)
             })
             .into_iter()
             .collect();
@@ -568,63 +560,62 @@ impl AnalysisPlan {
     /// [`Self::eval_feature`]. Never returns an error and (with
     /// `policy.catch_panics`) never unwinds: every outcome maps onto a
     /// [`RadiusVerdict`]. The affine arm runs [`Self::eval_affine_tol`];
-    /// the numeric arm already takes its tolerance as a parameter.
-    fn eval_feature_verdict_tol(
+    /// a numeric feature is solved, or with `truncate` (its budget is
+    /// spent) bounded by the certified axis-probe interval instead.
+    fn feature_verdict(
         &self,
         idx: usize,
         tol: Tolerance,
         origin: &VecN,
         ws: &mut PlanWorkspace,
         policy: &ResiliencePolicy,
+        truncate: bool,
     ) -> RadiusVerdict {
-        let feature = &self.features[idx];
-        match feature.slot {
+        let impact = match self.features[idx].slot {
             // The affine arm is exact and infallible past the finiteness
             // check, so the legacy evaluator already covers it.
-            Slot::Affine(r) => match self.eval_affine_tol(r, tol, origin, false) {
-                Ok(r) if r.violated => RadiusVerdict::Infeasible,
-                Ok(r) => RadiusVerdict::Exact(r),
-                Err(CoreError::Optim(OptimError::NonFinite)) => {
-                    RadiusVerdict::Failed(FailReason::NonFiniteImpact)
-                }
-                Err(e) => RadiusVerdict::Failed(FailReason::Solver(e.to_string())),
-            },
-            Slot::Numeric(k) => {
-                let impact = self.numeric[k].impact.as_ref();
-                if policy.catch_panics {
-                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                        self.numeric_feature_verdict(tol, impact, origin, &mut ws.solver, policy)
-                    }));
-                    match attempt {
-                        Ok(verdict) => verdict,
-                        Err(payload) => {
-                            // The workspace may hold partially-written
-                            // buffers from the unwound solve: reinitialize
-                            // (self-heal) before the next feature uses it.
-                            ws.solver = SolverWorkspace::new();
-                            if fepia_obs::enabled() {
-                                fepia_obs::global().counter("core.verdict.panics").inc();
-                            }
-                            RadiusVerdict::Failed(FailReason::Panic(panic_text(payload)))
-                        }
+            Slot::Affine(r) => {
+                return match self.eval_affine_tol(r, tol, origin, false) {
+                    Ok(r) if r.violated => RadiusVerdict::Infeasible,
+                    Ok(r) => RadiusVerdict::Exact(r),
+                    Err(CoreError::Optim(OptimError::NonFinite)) => {
+                        RadiusVerdict::Failed(FailReason::NonFiniteImpact)
                     }
-                } else {
-                    self.numeric_feature_verdict(tol, impact, origin, &mut ws.solver, policy)
+                    Err(e) => RadiusVerdict::Failed(FailReason::Solver(e.to_string())),
                 }
             }
+            Slot::Numeric(k) => self.numeric[k].impact.as_ref(),
+        };
+        if !policy.catch_panics {
+            return self.numeric_verdict(tol, impact, origin, &mut ws.solver, policy, truncate);
         }
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            self.numeric_verdict(tol, impact, origin, &mut ws.solver, policy, truncate)
+        }));
+        attempt.unwrap_or_else(|payload| {
+            // The workspace may hold partially-written buffers from the
+            // unwound solve: reinitialize (self-heal) before the next
+            // feature uses it.
+            ws.solver = SolverWorkspace::new();
+            if fepia_obs::enabled() {
+                fepia_obs::global().counter("core.verdict.panics").inc();
+            }
+            RadiusVerdict::Failed(FailReason::Panic(panic_message(payload)))
+        })
     }
 
-    /// The numeric arm of [`Self::eval_feature_verdict`]: mirrors
-    /// `radius_inner`'s pre-checks, then solves each active bound with the
-    /// resilient solver and combines the two outcomes.
-    fn numeric_feature_verdict(
+    /// The numeric arm of [`Self::feature_verdict`]: mirrors
+    /// `radius_inner`'s pre-checks, then bounds each active tolerance
+    /// boundary — with the resilient solver, or with `truncate` the
+    /// solve-free certified interval — and combines the two outcomes.
+    fn numeric_verdict(
         &self,
         tol: Tolerance,
         impact: &dyn Impact,
         origin: &VecN,
         ws: &mut SolverWorkspace,
         policy: &ResiliencePolicy,
+        truncate: bool,
     ) -> RadiusVerdict {
         let f_orig = impact.eval(origin);
         if !f_orig.is_finite() {
@@ -646,18 +637,20 @@ impl AnalysisPlan {
                 f_evals: 1,
             });
         }
+        let solver = &self.opts.solver;
         let mut outcomes = Vec::with_capacity(2);
-        if tol.has_upper() {
-            outcomes.push((
-                numeric_bound_verdict(impact, tol.max, origin, 1.0, &self.opts.solver, policy, ws),
-                Bound::Max,
-            ));
-        }
-        if tol.has_lower() {
-            outcomes.push((
-                numeric_bound_verdict(impact, tol.min, origin, -1.0, &self.opts.solver, policy, ws),
-                Bound::Min,
-            ));
+        for (active, beta, direction, bound) in [
+            (tol.has_upper(), tol.max, 1.0, Bound::Max),
+            (tol.has_lower(), tol.min, -1.0, Bound::Min),
+        ] {
+            if active {
+                let outcome = if truncate {
+                    truncated_bound_certificate(impact, beta, origin, direction, solver, policy)
+                } else {
+                    numeric_bound_verdict(impact, beta, origin, direction, solver, policy, ws)
+                };
+                outcomes.push((outcome, bound));
+            }
         }
         combine_bound_outcomes(outcomes)
     }
@@ -665,86 +658,47 @@ impl AnalysisPlan {
     /// Fault-tolerant evaluation at `origin`: classifies every feature
     /// instead of aborting, so sweeps always get an answer per origin.
     ///
+    /// **Budget.** The affine SoA block always runs exactly (it is the
+    /// cheap Eq. 6 closed form). The first `budget.numeric_solves` numeric
+    /// features get their full solve; the rest are truncated to the
+    /// certified axis-probe interval and classified
+    /// [`RadiusVerdict::Bounded`] with [`DegradeReason::BudgetExhausted`]
+    /// — the brownout mode. Truncated verdicts are still *sound*: the
+    /// interval certifiably contains the exact radius, and the result is a
+    /// pure function of `(plan, origin, budget)` — no wall clock — so it
+    /// is bitwise-reproducible across runs.
+    ///
+    /// **Tolerances.** `Some(tols)` judges feature `i` against `tols[i]`
+    /// (insertion order) instead of its compiled spec tolerance: the
+    /// level-sweep primitive behind [`crate::curve::CurvePlan`], which
+    /// answers ρ at many tolerance levels without recompiling. For `tols`
+    /// equal to the compiled spec tolerances the result is *bitwise
+    /// identical* to `None` — the override threads through the same
+    /// branches, float operations and (under fault injection) the same
+    /// chaos draw sequence.
+    ///
     /// Under fault injection (`fepia-chaos` enabled) origin components may
     /// be poisoned before the finiteness scan, exercising the same rejection
     /// path as genuinely bad inputs.
-    pub fn evaluate_verdict_with(
-        &self,
-        origin: &VecN,
-        ws: &mut PlanWorkspace,
-        policy: &ResiliencePolicy,
-    ) -> PlanVerdict {
-        self.evaluate_verdict_budgeted_with(origin, ws, policy, EvalBudget::UNLIMITED)
-    }
-
-    /// [`Self::evaluate_verdict_with`] under a deterministic work budget —
-    /// the brownout evaluation mode.
-    ///
-    /// The affine SoA block always runs exactly (it is the cheap Eq. 6
-    /// closed form). The first `budget.numeric_solves` numeric features get
-    /// their full solve; the rest are truncated to the certified axis-probe
-    /// interval and classified [`RadiusVerdict::Bounded`] with
-    /// [`DegradeReason::BudgetExhausted`]. Truncated verdicts are still
-    /// *sound*: the interval certifiably contains the exact radius, and the
-    /// result is a pure function of `(plan, origin, budget)` — no wall
-    /// clock — so it is bitwise-reproducible across runs.
-    pub fn evaluate_verdict_budgeted_with(
-        &self,
-        origin: &VecN,
-        ws: &mut PlanWorkspace,
-        policy: &ResiliencePolicy,
-        budget: EvalBudget,
-    ) -> PlanVerdict {
-        self.evaluate_verdict_budgeted_inner(
-            origin,
-            &|idx| self.features[idx].spec.tolerance,
-            ws,
-            policy,
-            budget,
-        )
-    }
-
-    /// [`Self::evaluate_verdict_budgeted_with`] with every feature's
-    /// tolerance overridden by `tols` (insertion order, one per feature).
-    ///
-    /// This is the level-sweep primitive behind
-    /// [`crate::curve::CurvePlan`]: one compiled plan answers ρ at many
-    /// tolerance levels without recompiling. For any `tols` equal to the
-    /// compiled spec tolerances the result is *bitwise identical* to
-    /// [`Self::evaluate_verdict_budgeted_with`] — the override threads
-    /// through the same branches, float operations and (under fault
-    /// injection) the same chaos draw sequence.
     ///
     /// # Panics
-    /// If `tols.len() != self.feature_count()`.
-    pub fn evaluate_verdict_budgeted_with_tolerances(
+    /// If `tolerances` is `Some` with a length other than
+    /// [`Self::feature_count`].
+    pub fn verdict(
         &self,
         origin: &VecN,
-        tols: &[Tolerance],
         ws: &mut PlanWorkspace,
         policy: &ResiliencePolicy,
         budget: EvalBudget,
+        tolerances: Option<&[Tolerance]>,
     ) -> PlanVerdict {
-        assert_eq!(
-            tols.len(),
-            self.features.len(),
-            "one tolerance override per feature"
-        );
-        self.evaluate_verdict_budgeted_inner(origin, &|idx| tols[idx], ws, policy, budget)
-    }
-
-    /// Shared body of the budgeted verdict entry points: `tol_at` supplies
-    /// each feature's tolerance (spec or override) so both paths are the
-    /// same code — and therefore bitwise-coincident when the tolerances
-    /// coincide.
-    fn evaluate_verdict_budgeted_inner(
-        &self,
-        origin: &VecN,
-        tol_at: &dyn Fn(usize) -> Tolerance,
-        ws: &mut PlanWorkspace,
-        policy: &ResiliencePolicy,
-        budget: EvalBudget,
-    ) -> PlanVerdict {
+        if let Some(tols) = tolerances {
+            assert_eq!(
+                tols.len(),
+                self.features.len(),
+                "one tolerance override per feature"
+            );
+        }
         if origin.dim() != self.affine.dim {
             return self.record_verdict(PlanVerdict::all_failed(
                 self.features.len(),
@@ -774,20 +728,20 @@ impl AnalysisPlan {
         let mut solves_left = budget.numeric_solves;
         let mut truncated = 0u64;
         let mut radii = Vec::with_capacity(self.features.len());
-        for idx in 0..self.features.len() {
-            let tol = tol_at(idx);
-            let verdict = match self.features[idx].slot {
-                Slot::Affine(_) => self.eval_feature_verdict_tol(idx, tol, origin, ws, policy),
+        for (idx, feature) in self.features.iter().enumerate() {
+            let tol = tolerances.map_or(feature.spec.tolerance, |tols| tols[idx]);
+            let truncate = match feature.slot {
+                Slot::Affine(_) => false,
                 Slot::Numeric(_) if solves_left > 0 => {
                     solves_left -= 1;
-                    self.eval_feature_verdict_tol(idx, tol, origin, ws, policy)
+                    false
                 }
                 Slot::Numeric(_) => {
                     truncated += 1;
-                    self.budgeted_feature_verdict_tol(idx, tol, origin, ws, policy)
+                    true
                 }
             };
-            radii.push(verdict);
+            radii.push(self.feature_verdict(idx, tol, origin, ws, policy, truncate));
         }
         if truncated > 0 && fepia_obs::enabled() {
             fepia_obs::global()
@@ -797,137 +751,14 @@ impl AnalysisPlan {
         self.record_verdict(PlanVerdict::from_radii(radii))
     }
 
-    /// [`Self::evaluate_verdict_with`] with a throwaway workspace.
-    pub fn evaluate_verdict(&self, origin: &VecN, policy: &ResiliencePolicy) -> PlanVerdict {
-        let mut ws = self.workspace();
-        self.evaluate_verdict_with(origin, &mut ws, policy)
-    }
-
-    /// [`Self::evaluate_verdict_budgeted_with`] with a throwaway workspace.
-    pub fn evaluate_verdict_budgeted(
-        &self,
-        origin: &VecN,
-        policy: &ResiliencePolicy,
-        budget: EvalBudget,
-    ) -> PlanVerdict {
-        let mut ws = self.workspace();
-        self.evaluate_verdict_budgeted_with(origin, &mut ws, policy, budget)
-    }
-
-    /// One numeric feature's *truncated* verdict: the budget is spent, so
-    /// instead of solving, go straight to the certified axis-probe interval
-    /// (the boundary-iterate machinery the exhausted-retry path already
-    /// uses). Shares the pre-checks of [`Self::numeric_feature_verdict`]
-    /// so Infeasible / non-finite classifications are identical to the
-    /// unbudgeted path.
-    fn budgeted_feature_verdict_tol(
-        &self,
-        idx: usize,
-        tol: Tolerance,
-        origin: &VecN,
-        _ws: &mut PlanWorkspace,
-        policy: &ResiliencePolicy,
-    ) -> RadiusVerdict {
-        let feature = &self.features[idx];
-        let Slot::Numeric(k) = feature.slot else {
-            unreachable!("budgeted truncation only applies to numeric slots");
-        };
-        let impact = self.numeric[k].impact.as_ref();
-        let run = || self.truncated_numeric_verdict(tol, impact, origin, policy);
-        if policy.catch_panics {
-            match catch_unwind(AssertUnwindSafe(run)) {
-                Ok(verdict) => verdict,
-                Err(payload) => {
-                    if fepia_obs::enabled() {
-                        fepia_obs::global().counter("core.verdict.panics").inc();
-                    }
-                    RadiusVerdict::Failed(FailReason::Panic(panic_text(payload)))
-                }
-            }
-        } else {
-            run()
-        }
-    }
-
-    /// The solve-free numeric arm: same origin pre-checks as
-    /// [`Self::numeric_feature_verdict`], then one certified interval per
-    /// active bound, combined min-of-intervals.
-    fn truncated_numeric_verdict(
-        &self,
-        tol: Tolerance,
-        impact: &dyn Impact,
-        origin: &VecN,
-        policy: &ResiliencePolicy,
-    ) -> RadiusVerdict {
-        let f_orig = impact.eval(origin);
-        if !f_orig.is_finite() {
-            return RadiusVerdict::Failed(FailReason::NonFiniteImpact);
-        }
-        if !tol.contains(f_orig) {
-            return RadiusVerdict::Infeasible;
-        }
-        if tol.min == tol.max {
-            return RadiusVerdict::Exact(RadiusResult {
-                radius: 0.0,
-                boundary_point: Some(origin.clone()),
-                bound: Some(Bound::Max),
-                violated: false,
-                method: RadiusMethod::Analytic,
-                iterations: 0,
-                f_evals: 1,
-            });
-        }
-        let mut outcomes = Vec::with_capacity(2);
-        if tol.has_upper() {
-            outcomes.push((
-                truncated_bound_certificate(
-                    impact,
-                    tol.max,
-                    origin,
-                    1.0,
-                    &self.opts.solver,
-                    policy,
-                ),
-                Bound::Max,
-            ));
-        }
-        if tol.has_lower() {
-            outcomes.push((
-                truncated_bound_certificate(
-                    impact,
-                    tol.min,
-                    origin,
-                    -1.0,
-                    &self.opts.solver,
-                    policy,
-                ),
-                Bound::Min,
-            ));
-        }
-        combine_bound_outcomes(outcomes)
-    }
-
-    /// Sequential fault-tolerant batch: one verdict per origin, no early
-    /// abort, one shared workspace.
-    pub fn evaluate_batch_verdicts(
-        &self,
-        origins: &[VecN],
-        policy: &ResiliencePolicy,
-    ) -> Vec<PlanVerdict> {
-        let _span = fepia_obs::span!("core.plan.batch_verdicts");
-        let mut ws = self.workspace();
-        origins
-            .iter()
-            .map(|origin| self.evaluate_verdict_with(origin, &mut ws, policy))
-            .collect()
-    }
-
-    /// Parallel fault-tolerant batch over the catching `fepia-par` driver:
-    /// worker panics are isolated per origin, quarantined tasks get one
-    /// bounded re-dispatch, and an origin whose task panics on every attempt
-    /// still yields a verdict ([`FailReason::Panic`]) rather than killing
-    /// the sweep.
-    pub fn evaluate_batch_par_verdicts(
+    /// Fault-tolerant batch over the catching `fepia-par` driver: one
+    /// unbudgeted [`Self::verdict`] per origin, no early abort. Worker
+    /// panics are isolated per origin, quarantined tasks get one bounded
+    /// re-dispatch, and an origin whose task panics on every attempt still
+    /// yields a verdict ([`FailReason::Panic`]) rather than killing the
+    /// sweep. `ParConfig::with_threads(1)` runs the same driver on the
+    /// calling thread with one shared workspace.
+    pub fn verdict_batch(
         &self,
         origins: &[VecN],
         cfg: &ParConfig,
@@ -937,7 +768,7 @@ impl AnalysisPlan {
         let catch = CatchConfig::default();
         par_map_dynamic_catch_with(origins, cfg, &catch, PlanWorkspace::new, {
             |ws: &mut PlanWorkspace, _i, origin: &VecN| {
-                self.evaluate_verdict_with(origin, ws, policy)
+                self.verdict(origin, ws, policy, EvalBudget::UNLIMITED, None)
             }
         })
         .into_iter()
@@ -1198,16 +1029,6 @@ fn combine_bound_outcomes(outcomes: Vec<(BoundOutcome, Bound)>) -> RadiusVerdict
     }
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Index of the first minimum (the tie-break `Iterator::min_by` uses, which
 /// the legacy binding-feature selection relies on).
 fn first_min_index(radii: &[f64]) -> usize {
@@ -1245,6 +1066,12 @@ mod tests {
     use crate::robustness_radius;
 
     fn mixed_analysis() -> FepiaAnalysis {
+        mixed_analysis_with(60.0)
+    }
+
+    /// Two affine features and one numeric feature (`quad`, tolerance
+    /// `[−∞, quad_max]`).
+    fn mixed_analysis_with(quad_max: f64) -> FepiaAnalysis {
         let pert = Perturbation::continuous("p", VecN::from([1.0, 2.0, 3.0]));
         let mut a = FepiaAnalysis::new(pert);
         a.add_feature(
@@ -1256,10 +1083,58 @@ mod tests {
             SumSelected::new(vec![0, 2], 3),
         );
         a.add_feature(
-            FeatureSpec::new("quad", Tolerance::upper(60.0)),
+            FeatureSpec::new("quad", Tolerance::upper(quad_max)),
             FnImpact::new(|v: &VecN| v.dot(v)).with_dim(3),
         );
         a
+    }
+
+    /// Bitwise equality of two verdicts: kind, binding, metric interval and
+    /// every feature's radius interval.
+    fn assert_bitwise_eq(a: &PlanVerdict, b: &PlanVerdict) {
+        assert_eq!(a.kind, b.kind);
+        assert_eq!(a.binding, b.binding);
+        assert_eq!(a.metric_lo.to_bits(), b.metric_lo.to_bits());
+        assert_eq!(a.metric_hi.to_bits(), b.metric_hi.to_bits());
+        assert_eq!(a.radii.len(), b.radii.len());
+        for (x, y) in a.radii.iter().zip(&b.radii) {
+            let (xlo, xhi) = x.radius_bounds().expect("clean features have bounds");
+            let (ylo, yhi) = y.radius_bounds().expect("clean features have bounds");
+            assert_eq!(xlo.to_bits(), ylo.to_bits());
+            assert_eq!(xhi.to_bits(), yhi.to_bits());
+        }
+    }
+
+    /// The tolerance override reaches the numeric arm, solved and
+    /// truncated alike: on a mixed plan, overriding with the compiled
+    /// tolerances is bitwise the spec path, and tightening the numeric
+    /// feature's bound is bitwise a plan compiled with that bound.
+    #[test]
+    fn tolerance_override_is_bitwise_a_recompiled_plan_on_mixed_features() {
+        let analysis = mixed_analysis();
+        let plan = analysis.compile(&RadiusOptions::default()).unwrap();
+        let origin = analysis.perturbation().origin.clone();
+        let policy = ResiliencePolicy::default();
+        let compiled: Vec<Tolerance> = plan.features.iter().map(|f| f.spec.tolerance).collect();
+        let tighter = mixed_analysis_with(50.0);
+        let tighter_plan = tighter.compile(&RadiusOptions::default()).unwrap();
+        let mut tols = compiled.clone();
+        tols[2] = Tolerance::upper(50.0);
+        let mut ws = plan.workspace();
+        for budget in [EvalBudget::UNLIMITED, EvalBudget::BROWNOUT] {
+            let spec = plan.verdict(&origin, &mut ws, &policy, budget, None);
+            let same = plan.verdict(&origin, &mut ws, &policy, budget, Some(&compiled));
+            assert_bitwise_eq(&spec, &same);
+
+            let overridden = plan.verdict(&origin, &mut ws, &policy, budget, Some(&tols));
+            let recompiled = tighter_plan.verdict(&origin, &mut ws, &policy, budget, None);
+            assert_bitwise_eq(&overridden, &recompiled);
+            assert_ne!(
+                overridden.radii[2].radius_bounds(),
+                spec.radii[2].radius_bounds(),
+                "the numeric feature must be judged against the override"
+            );
+        }
     }
 
     #[test]
@@ -1272,7 +1147,7 @@ mod tests {
         assert_eq!(plan.numeric_count(), 1);
 
         let origin = analysis.perturbation().origin.clone();
-        let eval = plan.evaluate(&origin).unwrap();
+        let eval = plan.evaluate(&origin, &mut PlanWorkspace::new()).unwrap();
         let report = analysis.run(&opts).unwrap();
         assert_eq!(eval.radii.len(), report.radii.len());
         for (fast, legacy) in eval.radii.iter().zip(report.radii.iter()) {
@@ -1289,13 +1164,15 @@ mod tests {
         let origins: Vec<VecN> = (0..8)
             .map(|i| VecN::from([1.0 + i as f64 * 0.1, 2.0, 3.0 - i as f64 * 0.05]))
             .collect();
-        let batch = plan.evaluate_batch(&origins).unwrap();
+        let batch = plan
+            .evaluate_batch(&origins, &ParConfig::with_threads(1))
+            .unwrap();
         for (origin, b) in origins.iter().zip(batch.iter()) {
-            let single = plan.evaluate(origin).unwrap();
+            let single = plan.evaluate(origin, &mut PlanWorkspace::new()).unwrap();
             assert_eq!(b.metric.to_bits(), single.metric.to_bits());
         }
         let par = plan
-            .evaluate_batch_par(&origins, &ParConfig::with_threads(2))
+            .evaluate_batch(&origins, &ParConfig::with_threads(2))
             .unwrap();
         for (a, b) in batch.iter().zip(par.iter()) {
             assert_eq!(a.metric.to_bits(), b.metric.to_bits());
@@ -1346,13 +1223,31 @@ mod tests {
         let origin = analysis.perturbation().origin.clone();
         let policy = ResiliencePolicy::default();
 
-        let exact = plan.evaluate_verdict(&origin, &policy);
+        let exact = plan.verdict(
+            &origin,
+            &mut PlanWorkspace::new(),
+            &policy,
+            EvalBudget::UNLIMITED,
+            None,
+        );
         assert_eq!(exact.kind, VerdictKind::Exact);
 
         // Zero budget: affine features exact, the numeric feature truncated
         // to a certified interval.
-        let b1 = plan.evaluate_verdict_budgeted(&origin, &policy, EvalBudget::BROWNOUT);
-        let b2 = plan.evaluate_verdict_budgeted(&origin, &policy, EvalBudget::BROWNOUT);
+        let b1 = plan.verdict(
+            &origin,
+            &mut PlanWorkspace::new(),
+            &policy,
+            EvalBudget::BROWNOUT,
+            None,
+        );
+        let b2 = plan.verdict(
+            &origin,
+            &mut PlanWorkspace::new(),
+            &policy,
+            EvalBudget::BROWNOUT,
+            None,
+        );
         assert_eq!(b1.kind, VerdictKind::Bounded);
         for (full, brown) in exact.radii.iter().zip(&b1.radii).take(2) {
             assert_eq!(
@@ -1392,8 +1287,13 @@ mod tests {
 
         // A budget covering every numeric feature reproduces the full path
         // bitwise.
-        let full =
-            plan.evaluate_verdict_budgeted(&origin, &policy, EvalBudget { numeric_solves: 1 });
+        let full = plan.verdict(
+            &origin,
+            &mut PlanWorkspace::new(),
+            &policy,
+            EvalBudget { numeric_solves: 1 },
+            None,
+        );
         assert_eq!(full.kind, VerdictKind::Exact);
         assert_eq!(full.metric_hi.to_bits(), exact.metric_hi.to_bits());
     }
@@ -1437,7 +1337,8 @@ mod tests {
         let analysis = mixed_analysis();
         let plan = analysis.compile(&RadiusOptions::default()).unwrap();
         assert!(matches!(
-            plan.evaluate(&VecN::zeros(2)).unwrap_err(),
+            plan.evaluate(&VecN::zeros(2), &mut PlanWorkspace::new())
+                .unwrap_err(),
             CoreError::DimensionMismatch { .. }
         ));
     }
@@ -1455,7 +1356,9 @@ mod tests {
             LinearImpact::new(VecN::from([1.0, 1.0]), 0.0),
         );
         let plan = a.compile(&RadiusOptions::default()).unwrap();
-        let eval = plan.evaluate(&VecN::from([2.0, 3.0])).unwrap();
+        let eval = plan
+            .evaluate(&VecN::from([2.0, 3.0]), &mut PlanWorkspace::new())
+            .unwrap();
         assert_eq!(eval.radii, vec![0.0, 0.0]);
         assert!(eval.any_violated);
         assert_eq!(eval.metric, 0.0);
@@ -1471,7 +1374,9 @@ mod tests {
             LinearImpact::new(VecN::zeros(2), 1.0),
         );
         let plan = a.compile(&RadiusOptions::default()).unwrap();
-        let eval = plan.evaluate(&VecN::zeros(2)).unwrap();
+        let eval = plan
+            .evaluate(&VecN::zeros(2), &mut PlanWorkspace::new())
+            .unwrap();
         assert_eq!(eval.metric, f64::INFINITY);
     }
 
@@ -1480,8 +1385,14 @@ mod tests {
         let analysis = mixed_analysis();
         let plan = analysis.compile(&RadiusOptions::default()).unwrap();
         let origin = analysis.perturbation().origin.clone();
-        let eval = plan.evaluate(&origin).unwrap();
-        let verdict = plan.evaluate_verdict(&origin, &ResiliencePolicy::default());
+        let eval = plan.evaluate(&origin, &mut PlanWorkspace::new()).unwrap();
+        let verdict = plan.verdict(
+            &origin,
+            &mut PlanWorkspace::new(),
+            &ResiliencePolicy::default(),
+            EvalBudget::UNLIMITED,
+            None,
+        );
         assert_eq!(verdict.kind, VerdictKind::Exact);
         assert!(verdict.is_exact());
         assert_eq!(verdict.metric_lo.to_bits(), eval.metric.to_bits());
@@ -1497,7 +1408,13 @@ mod tests {
         let analysis = mixed_analysis();
         let plan = analysis.compile(&RadiusOptions::default()).unwrap();
         let bad = VecN::from([1.0, f64::NAN, 3.0]);
-        let verdict = plan.evaluate_verdict(&bad, &ResiliencePolicy::default());
+        let verdict = plan.verdict(
+            &bad,
+            &mut PlanWorkspace::new(),
+            &ResiliencePolicy::default(),
+            EvalBudget::UNLIMITED,
+            None,
+        );
         assert_eq!(verdict.kind, VerdictKind::Failed);
         assert_eq!(verdict.radii.len(), 3);
         for v in &verdict.radii {
@@ -1514,7 +1431,13 @@ mod tests {
     fn verdict_classifies_dimension_mismatch() {
         let analysis = mixed_analysis();
         let plan = analysis.compile(&RadiusOptions::default()).unwrap();
-        let verdict = plan.evaluate_verdict(&VecN::zeros(2), &ResiliencePolicy::default());
+        let verdict = plan.verdict(
+            &VecN::zeros(2),
+            &mut PlanWorkspace::new(),
+            &ResiliencePolicy::default(),
+            EvalBudget::UNLIMITED,
+            None,
+        );
         assert_eq!(verdict.kind, VerdictKind::Failed);
         assert!(matches!(
             verdict.radii[0],
@@ -1544,7 +1467,13 @@ mod tests {
             .with_dim(2),
         );
         let plan = a.compile(&RadiusOptions::default()).unwrap();
-        let verdict = plan.evaluate_verdict(&VecN::from([1.0, 1.0]), &ResiliencePolicy::default());
+        let verdict = plan.verdict(
+            &VecN::from([1.0, 1.0]),
+            &mut PlanWorkspace::new(),
+            &ResiliencePolicy::default(),
+            EvalBudget::UNLIMITED,
+            None,
+        );
         assert_eq!(verdict.kind, VerdictKind::Failed);
         assert!(matches!(
             &verdict.radii[1],
@@ -1584,7 +1513,13 @@ mod tests {
             },
             ..Default::default()
         };
-        let verdict = plan.evaluate_verdict(&VecN::zeros(2), &policy);
+        let verdict = plan.verdict(
+            &VecN::zeros(2),
+            &mut PlanWorkspace::new(),
+            &policy,
+            EvalBudget::UNLIMITED,
+            None,
+        );
         let (lo, hi) = verdict.radii[0]
             .radius_bounds()
             .expect("degraded verdict still has bounds");
@@ -1607,12 +1542,12 @@ mod tests {
         origins[5] = VecN::from([f64::INFINITY, 0.0, 0.0]); // poisoned
         origins[9] = VecN::zeros(2); // wrong dimension
         let policy = ResiliencePolicy::default();
-        let seq = plan.evaluate_batch_verdicts(&origins, &policy);
+        let seq = plan.verdict_batch(&origins, &ParConfig::with_threads(1), &policy);
         assert_eq!(seq.len(), origins.len());
         assert_eq!(seq[5].kind, VerdictKind::Failed);
         assert_eq!(seq[9].kind, VerdictKind::Failed);
         assert_eq!(seq[0].kind, VerdictKind::Exact);
-        let par = plan.evaluate_batch_par_verdicts(&origins, &ParConfig::with_threads(3), &policy);
+        let par = plan.verdict_batch(&origins, &ParConfig::with_threads(3), &policy);
         assert_eq!(par.len(), origins.len());
         for (s, p) in seq.iter().zip(par.iter()) {
             assert_eq!(s.kind, p.kind);
@@ -1630,7 +1565,9 @@ mod tests {
             LinearImpact::homogeneous(VecN::from([2.0])),
         );
         let plan = a.compile(&RadiusOptions::default()).unwrap();
-        let eval = plan.evaluate(&VecN::from([0.0])).unwrap();
+        let eval = plan
+            .evaluate(&VecN::from([0.0]), &mut PlanWorkspace::new())
+            .unwrap();
         assert_eq!(eval.floored_metric, Some(3.0));
         assert_eq!(eval.effective_metric(), 3.0);
     }

@@ -16,8 +16,8 @@ use crate::mapping::HiperdMapping;
 use crate::model::{HiperdSystem, Node};
 use crate::path::{app_rates, enumerate_paths, Path};
 use fepia_core::{
-    AnalysisPlan, CoreError, FeatureSpec, FepiaAnalysis, Impact, Perturbation, PlanEvaluation,
-    PlanVerdict, PlanWorkspace, RadiusOptions, ResiliencePolicy, RobustnessReport, Tolerance,
+    AnalysisPlan, CoreError, FeatureSpec, FepiaAnalysis, Impact, Perturbation, RadiusOptions,
+    RobustnessReport, Tolerance,
 };
 use fepia_optim::VecN;
 use std::sync::Arc;
@@ -271,40 +271,13 @@ impl CompiledLoadAnalysis {
             report,
         })
     }
-
-    /// Metric-only fast path with caller-provided scratch (for sweeps that
-    /// evaluate many mappings or load vectors on worker threads).
-    pub fn evaluate_metric_with(
-        &self,
-        lambda: &VecN,
-        ws: &mut PlanWorkspace,
-    ) -> Result<PlanEvaluation, CoreError> {
-        self.plan.evaluate_with(lambda, ws)
-    }
-
-    /// Fault-tolerant analysis at `λ_orig`: every constraint gets a typed
-    /// verdict instead of the first failure aborting the call. Degraded
-    /// constraint sweeps still rank mappings via the metric interval.
-    pub fn evaluate_verdict(&self, policy: &ResiliencePolicy) -> PlanVerdict {
-        self.plan.evaluate_verdict(&self.lambda_orig, policy)
-    }
-
-    /// [`Self::evaluate_verdict`] at an arbitrary load vector, with
-    /// caller-provided scratch for sweep workers.
-    pub fn evaluate_verdict_with(
-        &self,
-        lambda: &VecN,
-        ws: &mut PlanWorkspace,
-        policy: &ResiliencePolicy,
-    ) -> PlanVerdict {
-        self.plan.evaluate_verdict_with(lambda, ws, policy)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::test_support::tiny_system;
+    use fepia_core::{EvalBudget, ResiliencePolicy};
 
     /// a0,a1 → m0 (factor 2.6), a2 → m1 (alone). With λ = (100, 50):
     /// T_0 = 2.6·2λ₀ = 520, T_1 = 2.6·(λ₀+λ₁) = 390, T_2 = 2λ₁ = 100.
@@ -484,11 +457,11 @@ mod tests {
         assert_eq!(at_orig.binding, one_shot.binding);
         let mut ws = compiled.plan().workspace();
         let lambda = VecN::from([120.0, 60.0]);
-        let probe = compiled.evaluate_metric_with(&lambda, &mut ws).unwrap();
+        let probe = compiled.plan().evaluate(&lambda, &mut ws).unwrap();
         let full = compiled.evaluate_at(&lambda).unwrap();
         assert_eq!(probe.metric.to_bits(), full.metric.to_bits());
         // Repeated metric evaluations reuse the workspace without drift.
-        let again = compiled.evaluate_metric_with(&lambda, &mut ws).unwrap();
+        let again = compiled.plan().evaluate(&lambda, &mut ws).unwrap();
         assert_eq!(probe.metric.to_bits(), again.metric.to_bits());
     }
 
@@ -499,7 +472,13 @@ mod tests {
         let opts = RadiusOptions::default();
         let compiled = compile_load_analysis(&sys, &m, &paths, &opts).unwrap();
         let exact = compiled.evaluate().unwrap();
-        let verdict = compiled.evaluate_verdict(&ResiliencePolicy::default());
+        let verdict = compiled.plan().verdict(
+            compiled.lambda_orig(),
+            &mut compiled.plan().workspace(),
+            &ResiliencePolicy::default(),
+            EvalBudget::UNLIMITED,
+            None,
+        );
         assert!(verdict.is_exact());
         assert_eq!(verdict.metric_lo.to_bits(), exact.metric.to_bits());
         assert_eq!(verdict.metric_hi.to_bits(), exact.metric.to_bits());
@@ -514,17 +493,25 @@ mod tests {
         let compiled = compile_load_analysis(&sys, &m, &paths, &RadiusOptions::default()).unwrap();
         let mut ws = compiled.plan().workspace();
         let bad = VecN::from([100.0, f64::NAN]);
-        let verdict = compiled.evaluate_verdict_with(&bad, &mut ws, &ResiliencePolicy::default());
+        let verdict = compiled.plan().verdict(
+            &bad,
+            &mut ws,
+            &ResiliencePolicy::default(),
+            EvalBudget::UNLIMITED,
+            None,
+        );
         assert_eq!(verdict.kind, VerdictKind::Failed);
         assert!(matches!(
             verdict.radii[0],
             RadiusVerdict::Failed(FailReason::NonFiniteInput { index: 1 })
         ));
         // The workspace survives for the next (clean) evaluation.
-        let clean = compiled.evaluate_verdict_with(
+        let clean = compiled.plan().verdict(
             compiled.lambda_orig(),
             &mut ws,
             &ResiliencePolicy::default(),
+            EvalBudget::UNLIMITED,
+            None,
         );
         assert!(clean.is_exact());
     }

@@ -27,6 +27,7 @@
 use crate::mapping::Mapping;
 use crate::DeltaEval;
 use fepia_etc::EtcMatrix;
+use fepia_obs::hash::Fnv1a;
 
 /// One point on (or offered to) the front: a concrete mapping with its
 /// two objective values and its provenance.
@@ -154,24 +155,18 @@ impl ParetoFront {
     /// order. Two bitwise-identical fronts — the reproducibility claim
     /// the job tests assert — hash equal.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut word = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        word(self.points.len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64(self.points.len() as u64);
         for p in &self.points {
-            word(p.index);
-            word(p.makespan.to_bits());
-            word(p.metric.to_bits());
-            word(p.assignment.len() as u64);
+            h.u64(p.index);
+            h.u64(p.makespan.to_bits());
+            h.u64(p.metric.to_bits());
+            h.u64(p.assignment.len() as u64);
             for &j in &p.assignment {
-                word(j as u64);
+                h.u64(j as u64);
             }
         }
-        h
+        h.finish()
     }
 }
 

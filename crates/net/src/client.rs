@@ -146,6 +146,9 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// The error text of a connection the server closed before replying.
+const CLOSED: &str = "server closed the connection";
+
 /// The configured socket timeout as a socket option (ZERO = fully
 /// blocking).
 fn io_floor(timeout: Duration) -> Option<Duration> {
@@ -256,46 +259,15 @@ impl NetClient {
             )
             .emit();
         }
-        let frame = match read_frame(stream) {
-            Ok(f) => f,
-            Err(FrameReadError::Io(e)) => return Err(NetError::Io(e)),
-            Err(FrameReadError::Closed) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "server closed the connection",
-                )))
-            }
-            Err(FrameReadError::Decode(e)) => return Err(NetError::Decode(e)),
-        };
-        match frame.frame_type {
-            FrameType::Response => {
-                let resp = decode_response(&frame.payload).map_err(NetError::Decode)?;
-                if resp.id != id {
-                    return Err(NetError::Protocol(format!(
-                        "response id {} for request id {id}",
-                        resp.id
-                    )));
-                }
-                Ok(resp)
-            }
-            FrameType::Error => {
-                let (echo, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
-                if echo != id && echo != 0 {
-                    return Err(NetError::Protocol(format!(
-                        "error frame id {echo} for request id {id}"
-                    )));
-                }
-                Err(match err {
-                    WireError::Overloaded { shard, reason } => {
-                        NetError::Overloaded { shard, reason }
-                    }
-                    WireError::Invalid(msg) => NetError::Invalid(msg),
-                })
-            }
-            other => Err(NetError::Protocol(format!(
-                "server sent a {other:?} frame to an eval request"
-            ))),
+        let payload = self.read_reply(FrameType::Response, Some(id), "an eval request", CLOSED)?;
+        let resp = decode_response(&payload).map_err(NetError::Decode)?;
+        if resp.id != id {
+            return Err(NetError::Protocol(format!(
+                "response id {} for request id {id}",
+                resp.id
+            )));
         }
+        Ok(resp)
     }
 
     /// Evaluates one request, retrying per the config. See the module docs
@@ -529,38 +501,14 @@ impl NetClient {
         let mut slots: Vec<Option<EvalResponse>> = (0..reqs.len()).map(|_| None).collect();
         let mut filled = 0usize;
         while filled < reqs.len() {
-            let outcome = (|| -> Result<EvalResponse, NetError> {
-                let stream = self.stream.as_mut().expect("stream present while reading");
-                let frame = match read_frame(stream) {
-                    Ok(f) => f,
-                    Err(FrameReadError::Io(e)) => return Err(NetError::Io(e)),
-                    Err(FrameReadError::Closed) => {
-                        return Err(NetError::Io(std::io::Error::new(
-                            std::io::ErrorKind::ConnectionAborted,
-                            "server closed the connection mid-batch",
-                        )))
-                    }
-                    Err(FrameReadError::Decode(e)) => return Err(NetError::Decode(e)),
-                };
-                match frame.frame_type {
-                    FrameType::Response => {
-                        decode_response(&frame.payload).map_err(NetError::Decode)
-                    }
-                    FrameType::Error => {
-                        let (echo, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
-                        Err(match err {
-                            WireError::Overloaded { shard, reason } => {
-                                let _ = echo;
-                                NetError::Overloaded { shard, reason }
-                            }
-                            WireError::Invalid(msg) => NetError::Invalid(msg),
-                        })
-                    }
-                    other => Err(NetError::Protocol(format!(
-                        "server sent a {other:?} frame to a pipelined eval batch"
-                    ))),
-                }
-            })();
+            let outcome = self
+                .read_reply(
+                    FrameType::Response,
+                    None,
+                    "a pipelined eval batch",
+                    "server closed the connection mid-batch",
+                )
+                .and_then(|payload| decode_response(&payload).map_err(NetError::Decode));
             let resp = match outcome {
                 Ok(resp) => resp,
                 Err(e) => {
@@ -614,46 +562,15 @@ impl NetClient {
     ) -> Result<JobSnapshot, NetError> {
         let stream = self.stream()?;
         write_frame(stream, frame_type, trace, bytes).map_err(NetError::Io)?;
-        let frame = match read_frame(stream) {
-            Ok(f) => f,
-            Err(FrameReadError::Io(e)) => return Err(NetError::Io(e)),
-            Err(FrameReadError::Closed) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "server closed the connection",
-                )))
-            }
-            Err(FrameReadError::Decode(e)) => return Err(NetError::Decode(e)),
-        };
-        match frame.frame_type {
-            FrameType::JobResult => {
-                let reply = decode_job_reply(&frame.payload).map_err(NetError::Decode)?;
-                if reply.id != id {
-                    return Err(NetError::Protocol(format!(
-                        "job reply id {} for request id {id}",
-                        reply.id
-                    )));
-                }
-                Ok(reply.snapshot)
-            }
-            FrameType::Error => {
-                let (echo, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
-                if echo != id && echo != 0 {
-                    return Err(NetError::Protocol(format!(
-                        "error frame id {echo} for request id {id}"
-                    )));
-                }
-                Err(match err {
-                    WireError::Overloaded { shard, reason } => {
-                        NetError::Overloaded { shard, reason }
-                    }
-                    WireError::Invalid(msg) => NetError::Invalid(msg),
-                })
-            }
-            other => Err(NetError::Protocol(format!(
-                "server sent a {other:?} frame to a job operation"
-            ))),
+        let payload = self.read_reply(FrameType::JobResult, Some(id), "a job operation", CLOSED)?;
+        let reply = decode_job_reply(&payload).map_err(NetError::Decode)?;
+        if reply.id != id {
+            return Err(NetError::Protocol(format!(
+                "job reply id {} for request id {id}",
+                reply.id
+            )));
         }
+        Ok(reply.snapshot)
     }
 
     /// An idempotent job operation (status poll, cancel) with the same
@@ -785,44 +702,62 @@ impl NetClient {
             self.stream = None;
             return Err(NetError::Io(e));
         }
-        let frame = match read_frame(stream) {
-            Ok(f) => f,
-            Err(err) => {
-                self.stream = None;
-                return Err(match err {
-                    FrameReadError::Io(e) => NetError::Io(e),
-                    FrameReadError::Closed => NetError::Io(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionAborted,
-                        "server closed the connection",
-                    )),
-                    FrameReadError::Decode(e) => NetError::Decode(e),
-                });
-            }
-        };
-        match frame.frame_type {
-            FrameType::StatsResponse => {
-                let reply = decode_stats_reply(&frame.payload).map_err(NetError::Decode)?;
-                if reply.id != id {
-                    return Err(NetError::Protocol(format!(
-                        "stats reply id {} for poll id {id}",
-                        reply.id
-                    )));
-                }
-                Ok(reply)
-            }
-            FrameType::Error => {
-                let (_, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
-                Err(match err {
-                    WireError::Overloaded { shard, reason } => {
-                        NetError::Overloaded { shard, reason }
-                    }
-                    WireError::Invalid(msg) => NetError::Invalid(msg),
-                })
-            }
-            other => Err(NetError::Protocol(format!(
-                "server sent a {other:?} frame to a stats poll"
-            ))),
+        let payload = self.read_reply(FrameType::StatsResponse, None, "a stats poll", CLOSED)?;
+        let reply = decode_stats_reply(&payload).map_err(NetError::Decode)?;
+        if reply.id != id {
+            return Err(NetError::Protocol(format!(
+                "stats reply id {} for poll id {id}",
+                reply.id
+            )));
         }
+        Ok(reply)
+    }
+
+    /// Reads one reply frame and classifies it: the payload of an
+    /// `expected` frame, or the typed error an `Error` frame carries
+    /// (`Overloaded` / `Invalid`). With `request`, an error frame must echo
+    /// that id (or 0); any other frame type is a protocol violation against
+    /// `what`. A frame that cannot be read at all leaves the stream position
+    /// unknown, so the connection is dropped; `closed` is the error text of
+    /// a clean EOF.
+    fn read_reply(
+        &mut self,
+        expected: FrameType,
+        request: Option<u64>,
+        what: &str,
+        closed: &str,
+    ) -> Result<Vec<u8>, NetError> {
+        let stream = self.stream.as_mut().expect("stream present while reading");
+        let frame = read_frame(stream).map_err(|err| {
+            self.stream = None;
+            match err {
+                FrameReadError::Io(e) => NetError::Io(e),
+                FrameReadError::Closed => NetError::Io(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionAborted,
+                    closed,
+                )),
+                FrameReadError::Decode(e) => NetError::Decode(e),
+            }
+        })?;
+        if frame.frame_type == expected {
+            return Ok(frame.payload);
+        }
+        if frame.frame_type != FrameType::Error {
+            return Err(NetError::Protocol(format!(
+                "server sent a {:?} frame to {what}",
+                frame.frame_type
+            )));
+        }
+        let (echo, err) = decode_error(&frame.payload).map_err(NetError::Decode)?;
+        if let Some(id) = request.filter(|&id| echo != id && echo != 0) {
+            return Err(NetError::Protocol(format!(
+                "error frame id {echo} for request id {id}"
+            )));
+        }
+        Err(match err {
+            WireError::Overloaded { shard, reason } => NetError::Overloaded { shard, reason },
+            WireError::Invalid(msg) => NetError::Invalid(msg),
+        })
     }
 }
 

@@ -238,17 +238,10 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Byte-serial FNV-1a 64 over raw bytes: a stable byte hash for callers
-/// that digest encoded payloads. The frame checksum is
+/// Byte-serial FNV-1a 64 over raw bytes, re-exported for callers that
+/// digest encoded payloads. The frame checksum is
 /// [`fepia_obs::hash::checksum`].
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+pub use fepia_obs::hash::fnv1a;
 
 fn assert_payload_fits(len: usize) {
     assert!(

@@ -21,7 +21,7 @@
 //!   the client exactly as the old blocking hand-off did.
 //! * **Completion queue + waker.** Requests are submitted to the service
 //!   with a completion callback
-//!   ([`fepia_serve::Service::submit_traced_with`]); the worker's callback
+//!   ([`fepia_serve::Service::submit_with`]); the worker's callback
 //!   pushes the response onto a mutex-guarded queue and wakes the loop's
 //!   poll through the self-pipe. No thread ever blocks on a ticket.
 //! * **Coalesced writes.** Responses completing together are encoded into
@@ -52,8 +52,8 @@ use crate::wire::{
     WireError,
 };
 use fepia_serve::{
-    EvalResponse, JobError, JobTable, JobTableConfig, RequestBudget, ServeError, Service,
-    ShedReason,
+    EvalResponse, JobError, JobSnapshot, JobTable, JobTableConfig, RequestBudget, ServeError,
+    Service, ShedReason, Submit,
 };
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -807,12 +807,8 @@ impl EventLoop {
                     // the poisoned buffer so a later decode pass (window
                     // freeing up, main-loop catch-up) cannot re-decode the
                     // same bytes and emit the error frame twice.
-                    self.stats
-                        .count(&self.stats.decode_errors, "net.decode_errors");
-                    conn.read_closed = true;
                     conn.decoder = FrameDecoder::new();
-                    let payload = encode_error(0, &WireError::Invalid(format!("bad frame: {e}")));
-                    self.enqueue_frame(slot, FrameType::Error, 0, &payload, 0);
+                    self.reject_frame(slot, 0, format!("bad frame: {e}"), true);
                     return;
                 }
             };
@@ -828,56 +824,36 @@ impl EventLoop {
         }
     }
 
-    /// Routes one decoded frame: eval request, stats poll, or protocol
-    /// violation.
+    /// Routes one decoded frame: eval request, stats poll, job operation,
+    /// or protocol violation.
     fn handle_frame(&mut self, slot: usize, frame: crate::frame::Frame) {
         let decode_started = Instant::now();
+        let trace = frame.trace;
         match frame.frame_type {
-            FrameType::StatsRequest => {
-                match decode_stats_request(&frame.payload) {
-                    Ok(id) => {
-                        self.stats.count(&self.stats.frames_read, "net.frames.read");
-                        let reply = StatsReply {
-                            id,
-                            shards: self.service.stats().shards,
-                            net: self.stats.snapshot(),
-                        };
-                        let payload = encode_stats_reply(&reply);
-                        self.enqueue_frame(
-                            slot,
-                            FrameType::StatsResponse,
-                            frame.trace,
-                            &payload,
-                            id,
-                        );
-                    }
-                    Err(e) => {
-                        self.stats
-                            .count(&self.stats.decode_errors, "net.decode_errors");
-                        let payload =
-                            encode_error(0, &WireError::Invalid(format!("bad stats poll: {e}")));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &payload, 0);
-                    }
-                };
-            }
+            FrameType::StatsRequest => match decode_stats_request(&frame.payload) {
+                Ok(id) => {
+                    self.stats.count(&self.stats.frames_read, "net.frames.read");
+                    let reply = StatsReply {
+                        id,
+                        shards: self.service.stats().shards,
+                        net: self.stats.snapshot(),
+                    };
+                    let payload = encode_stats_reply(&reply);
+                    self.enqueue_frame(slot, FrameType::StatsResponse, trace, &payload, id);
+                }
+                // A bad poll is answered but leaves the stream readable.
+                Err(e) => self.reject_frame(slot, trace, format!("bad stats poll: {e}"), false),
+            },
             FrameType::Request => {
                 let payload = match decode_request(&frame.payload) {
                     Ok(p) => p,
                     Err(e) => {
-                        self.stats
-                            .count(&self.stats.decode_errors, "net.decode_errors");
-                        if let Some(conn) = &mut self.conns[slot] {
-                            conn.read_closed = true;
-                        }
-                        let msg = encode_error(0, &WireError::Invalid(format!("bad request: {e}")));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &msg, 0);
-                        return;
+                        return self.reject_frame(slot, trace, format!("bad request: {e}"), true)
                     }
                 };
                 self.stats.count(&self.stats.frames_read, "net.frames.read");
                 let id = payload.id;
                 let deadline_us = payload.deadline_us;
-                let trace = frame.trace;
                 let received = Instant::now();
 
                 // Admission control, *before* the (allocating) semantic
@@ -886,7 +862,6 @@ impl EventLoop {
                 if self.in_flight_global >= self.shed_at {
                     self.stats
                         .count(&self.stats.admission_shed, "net.admission.shed");
-                    self.stats.count(&self.stats.overloaded, "net.overloaded");
                     if trace != 0 && fepia_obs::trace_enabled() {
                         fepia_obs::trace::with_wall(
                             fepia_obs::trace::span_event(
@@ -899,15 +874,11 @@ impl EventLoop {
                         .field("cause", "admission")
                         .emit();
                     }
-                    let payload = encode_error(
-                        id,
-                        &WireError::Overloaded {
-                            shard: 0,
-                            reason: ShedReason::QueueFull,
-                        },
-                    );
-                    self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                    return;
+                    let shed = WireError::Overloaded {
+                        shard: 0,
+                        reason: ShedReason::QueueFull,
+                    };
+                    return self.refuse(slot, trace, id, shed);
                 }
                 let busy_ns = (self.in_flight_global as u128 * self.admitted_ns(received))
                     .saturating_sub(self.admitted_sum_ns);
@@ -917,22 +888,14 @@ impl EventLoop {
                     self.stats
                         .count(&self.stats.admission_brownout, "net.admission.brownout");
                 }
-                let mut budget = RequestBudget {
+                let budget = RequestBudget {
+                    deadline: (deadline_us > 0).then(|| Duration::from_micros(deadline_us)),
                     brownout: brownout_hint,
-                    ..RequestBudget::default()
                 };
-                if deadline_us > 0 {
-                    budget.deadline = Some(Duration::from_micros(deadline_us));
-                }
 
                 let req = match payload.into_request() {
                     Ok(r) => r,
-                    Err(msg) => {
-                        self.stats.count(&self.stats.invalid, "net.invalid");
-                        let payload = encode_error(id, &WireError::Invalid(msg));
-                        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                        return;
-                    }
+                    Err(msg) => return self.refuse(slot, trace, id, WireError::Invalid(msg)),
                 };
                 if trace != 0 && fepia_obs::trace_enabled() {
                     fepia_obs::trace::with_wall(
@@ -951,21 +914,24 @@ impl EventLoop {
                 };
                 let completions = Arc::clone(&self.completions);
                 let waker = Arc::clone(&self.waker);
-                let submit =
-                    self.service
-                        .submit_traced_budget_with(req, trace, budget, move |resp| {
-                            let mut q = completions.lock().unwrap_or_else(|p| p.into_inner());
-                            q.push_back(Done {
-                                slot,
-                                gen,
-                                trace,
-                                received,
-                                resp,
-                            });
-                            drop(q);
-                            waker.wake();
-                        });
-                match submit {
+                let how = Submit {
+                    trace: Some(trace),
+                    budget,
+                    wait: false,
+                };
+                let submit = self.service.submit_with(req, how, move |resp| {
+                    let mut q = completions.lock().unwrap_or_else(|p| p.into_inner());
+                    q.push_back(Done {
+                        slot,
+                        gen,
+                        trace,
+                        received,
+                        resp,
+                    });
+                    drop(q);
+                    waker.wake();
+                });
+                let refusal = match submit {
                     Ok(_shard) => {
                         self.in_flight_global += 1;
                         self.admitted_sum_ns += self.admitted_ns(received);
@@ -973,35 +939,19 @@ impl EventLoop {
                             conn.in_flight += 1;
                             self.stats.observe_depth(conn.in_flight);
                         }
+                        return;
                     }
-                    Err(ServeError::Overloaded(o)) => {
-                        self.stats.count(&self.stats.overloaded, "net.overloaded");
-                        let payload = encode_error(
-                            id,
-                            &WireError::Overloaded {
-                                shard: o.shard as u64,
-                                reason: o.reason,
-                            },
-                        );
-                        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                    }
-                    Err(ServeError::Invalid(msg)) => {
-                        self.stats.count(&self.stats.invalid, "net.invalid");
-                        let payload = encode_error(id, &WireError::Invalid(msg));
-                        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                    }
-                    Err(ServeError::Disconnected) => {
-                        self.stats.count(&self.stats.overloaded, "net.overloaded");
-                        let payload = encode_error(
-                            id,
-                            &WireError::Overloaded {
-                                shard: 0,
-                                reason: ShedReason::ShuttingDown,
-                            },
-                        );
-                        self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
-                    }
-                }
+                    Err(ServeError::Overloaded(o)) => WireError::Overloaded {
+                        shard: o.shard as u64,
+                        reason: o.reason,
+                    },
+                    Err(ServeError::Invalid(msg)) => WireError::Invalid(msg),
+                    Err(ServeError::Disconnected) => WireError::Overloaded {
+                        shard: 0,
+                        reason: ShedReason::ShuttingDown,
+                    },
+                };
+                self.refuse(slot, trace, id, refusal);
             }
             // Job-table operations are handled inline: submit spawns a
             // runner thread, status clones a snapshot, cancel flips a flag —
@@ -1010,49 +960,24 @@ impl EventLoop {
                 let payload = match decode_submit_job(&frame.payload) {
                     Ok(p) => p,
                     Err(e) => {
-                        self.stats
-                            .count(&self.stats.decode_errors, "net.decode_errors");
-                        if let Some(conn) = &mut self.conns[slot] {
-                            conn.read_closed = true;
-                        }
-                        let msg =
-                            encode_error(0, &WireError::Invalid(format!("bad job submit: {e}")));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &msg, 0);
-                        return;
+                        return self.reject_frame(slot, trace, format!("bad job submit: {e}"), true)
                     }
                 };
                 self.stats.count(&self.stats.frames_read, "net.frames.read");
                 let id = payload.id;
                 let spec = match payload.into_spec() {
                     Ok(s) => s,
-                    Err(msg) => {
-                        self.stats.count(&self.stats.invalid, "net.invalid");
-                        let payload = encode_error(id, &WireError::Invalid(msg));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &payload, id);
-                        return;
-                    }
+                    Err(msg) => return self.refuse(slot, trace, id, WireError::Invalid(msg)),
                 };
-                match self.jobs.submit_traced(spec, frame.trace) {
-                    // The submit answer is the job's first snapshot — the
-                    // same shape every later poll returns. (With a zero
-                    // retention bound an instant job can already be evicted;
-                    // that surfaces as the same typed refusal a late poll
-                    // would get.)
-                    Ok(job) => match self.jobs.status(job) {
-                        Ok(snapshot) => {
-                            let payload = encode_job_reply(&JobReply { id, snapshot });
-                            self.enqueue_frame(
-                                slot,
-                                FrameType::JobResult,
-                                frame.trace,
-                                &payload,
-                                id,
-                            );
-                        }
-                        Err(err) => self.refuse_job(slot, frame.trace, id, err),
-                    },
-                    Err(err) => self.refuse_job(slot, frame.trace, id, err),
-                }
+                // The submit answer is the job's first snapshot — the same
+                // shape every later poll returns. (With a zero retention
+                // bound an instant job can already be evicted; that
+                // surfaces as the same typed refusal a late poll would get.)
+                let result = self
+                    .jobs
+                    .submit_traced(spec, trace)
+                    .and_then(|job| self.jobs.status(job));
+                self.job_reply(slot, trace, id, result);
             }
             FrameType::JobStatus | FrameType::CancelJob => {
                 let cancel = frame.frame_type == FrameType::CancelJob;
@@ -1064,14 +989,7 @@ impl EventLoop {
                 let (id, job) = match decoded {
                     Ok(pair) => pair,
                     Err(e) => {
-                        self.stats
-                            .count(&self.stats.decode_errors, "net.decode_errors");
-                        if let Some(conn) = &mut self.conns[slot] {
-                            conn.read_closed = true;
-                        }
-                        let msg = encode_error(0, &WireError::Invalid(format!("bad job ref: {e}")));
-                        self.enqueue_frame(slot, FrameType::Error, frame.trace, &msg, 0);
-                        return;
+                        return self.reject_frame(slot, trace, format!("bad job ref: {e}"), true)
                     }
                 };
                 self.stats.count(&self.stats.frames_read, "net.frames.read");
@@ -1080,45 +998,70 @@ impl EventLoop {
                 } else {
                     self.jobs.status(job)
                 };
-                match result {
-                    Ok(snapshot) => {
-                        let payload = encode_job_reply(&JobReply { id, snapshot });
-                        self.enqueue_frame(slot, FrameType::JobResult, frame.trace, &payload, id);
-                    }
-                    Err(err) => self.refuse_job(slot, frame.trace, id, err),
-                }
+                self.job_reply(slot, trace, id, result);
             }
-            other => {
-                self.stats
-                    .count(&self.stats.decode_errors, "net.decode_errors");
-                if let Some(conn) = &mut self.conns[slot] {
-                    conn.read_closed = true;
-                }
-                let payload = encode_error(
-                    0,
-                    &WireError::Invalid(format!("unexpected {other:?} frame from client")),
-                );
-                self.enqueue_frame(slot, FrameType::Error, frame.trace, &payload, 0);
+            other => self.reject_frame(
+                slot,
+                trace,
+                format!("unexpected {other:?} frame from client"),
+                true,
+            ),
+        }
+    }
+
+    /// Answers a job operation with its snapshot, or with the typed refusal
+    /// mapped onto the wire's error vocabulary: admission refusals are
+    /// `Overloaded` (retryable), everything else is `Invalid` (permanent).
+    fn job_reply(
+        &mut self,
+        slot: usize,
+        trace: u64,
+        id: u64,
+        result: Result<JobSnapshot, JobError>,
+    ) {
+        match result {
+            Ok(snapshot) => {
+                let payload = encode_job_reply(&JobReply { id, snapshot });
+                self.enqueue_frame(slot, FrameType::JobResult, trace, &payload, id);
+            }
+            Err(err) => {
+                let refusal = match err.shed_reason() {
+                    Some(reason) => WireError::Overloaded { shard: 0, reason },
+                    None => WireError::Invalid(err.to_string()),
+                };
+                self.refuse(slot, trace, id, refusal);
             }
         }
     }
 
-    /// Answers a job operation with the typed refusal mapped onto the
-    /// wire's error vocabulary: admission refusals are `Overloaded`
-    /// (retryable), everything else is `Invalid` (permanent).
-    fn refuse_job(&mut self, slot: usize, trace: u64, id: u64, err: JobError) {
-        let wire_err = match err.shed_reason() {
-            Some(reason) => {
-                self.stats.count(&self.stats.overloaded, "net.overloaded");
-                WireError::Overloaded { shard: 0, reason }
+    /// Refuses one decoded request with a typed error frame echoing its id,
+    /// counted once: `net.overloaded` for a retryable refusal, `net.invalid`
+    /// for a permanent one.
+    fn refuse(&mut self, slot: usize, trace: u64, id: u64, err: WireError) {
+        match err {
+            WireError::Overloaded { .. } => {
+                self.stats.count(&self.stats.overloaded, "net.overloaded")
             }
-            None => {
-                self.stats.count(&self.stats.invalid, "net.invalid");
-                WireError::Invalid(err.to_string())
-            }
-        };
-        let payload = encode_error(id, &wire_err);
+            WireError::Invalid(_) => self.stats.count(&self.stats.invalid, "net.invalid"),
+        }
+        let payload = encode_error(id, &err);
         self.enqueue_frame(slot, FrameType::Error, trace, &payload, id);
+    }
+
+    /// Answers bytes that do not decode as a client frame with a typed
+    /// `Invalid` error frame (id 0: there is no id to echo), counted under
+    /// `net.decode_errors`. With `close` the read side shuts as well, since
+    /// the stream position can no longer be trusted.
+    fn reject_frame(&mut self, slot: usize, trace: u64, msg: String, close: bool) {
+        self.stats
+            .count(&self.stats.decode_errors, "net.decode_errors");
+        if close {
+            if let Some(conn) = &mut self.conns[slot] {
+                conn.read_closed = true;
+            }
+        }
+        let payload = encode_error(0, &WireError::Invalid(msg));
+        self.enqueue_frame(slot, FrameType::Error, trace, &payload, 0);
     }
 
     /// Frees a slot; its generation check drops any still-running

@@ -1,5 +1,5 @@
-//! Word-at-a-time hashing: the frame payload checksum and the scenario
-//! fingerprint.
+//! The hashes the crates share: the word-at-a-time frame payload checksum
+//! and scenario fingerprint, plus the one copy of FNV-1a and SplitMix64.
 //!
 //! Both are built from one mixing step over 64-bit words,
 //!
@@ -29,9 +29,15 @@
 //!   hold structured 64-bit values (ETC bits, assignments, option fields),
 //!   as the serving layer's scenario and curve fingerprints do.
 //!
-//! Neither is a cryptographic hash or a defence against crafted
-//! collisions: the checksum catches torn and corrupted frames, and every
-//! fingerprint hit is re-checked for exact identity by its caller.
+//! - [`fnv1a`] and its streaming form [`Fnv1a`] are byte-serial FNV-1a 64:
+//!   the chaos site keys, the Pareto-front and response digests, and the
+//!   byte hash callers apply to encoded payloads.
+//! - [`splitmix64`] is SplitMix64's finalizer, one well-mixed word from
+//!   one word: trace ids, chaos draws and the solver's seed jitter.
+//!
+//! None is a cryptographic hash or a defence against crafted collisions:
+//! the checksum catches torn and corrupted frames, and every fingerprint
+//! hit is re-checked for exact identity by its caller.
 
 /// The odd multiplier of [`step`] (the 64-bit golden ratio).
 const K: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -96,6 +102,57 @@ impl Default for WordHasher {
     }
 }
 
+/// FNV-1a 64 over `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.bytes(bytes);
+    h.finish()
+}
+
+/// Streaming FNV-1a 64: feeding bytes in any split hashes like one
+/// [`fnv1a`] call over their concatenation.
+#[derive(Clone, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher that has seen no bytes (state = the FNV offset basis).
+    pub fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feeds bytes, one FNV-1a step each.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    /// Feeds one word as its 8 little-endian bytes.
+    pub fn u64(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+
+    /// The hash of every byte fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+/// SplitMix64's finalizer: a bijection on `u64` that spreads adjacent
+/// inputs over the whole output range.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// The 64-bit checksum of `bytes` (little-endian words, four lanes over
 /// 32-byte blocks). Any change confined to one aligned 8-byte word
 /// changes it, and so does any change of length.
@@ -155,6 +212,22 @@ mod tests {
             h.u64(w);
         }
         assert_eq!(h.finish(), 0xe60d_2ccb_e97a_d65b);
+    }
+
+    /// The published FNV-1a 64 test vectors; the streaming form agrees
+    /// with the one-shot form across any split of the input.
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a::new();
+        h.bytes(b"foo");
+        h.bytes(b"bar");
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
+        let mut h = Fnv1a::new();
+        h.u64(0x0807_0605_0403_0201);
+        assert_eq!(h.finish(), fnv1a(&[1, 2, 3, 4, 5, 6, 7, 8]));
     }
 
     #[test]

@@ -158,10 +158,7 @@ impl TraceId {
     /// so adjacent request ids spread over the full 64-bit space while
     /// staying a pure function of the input.
     pub fn mint(request_id: u64) -> TraceId {
-        let mut z = request_id.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        TraceId(z ^ (z >> 31))
+        TraceId(crate::hash::splitmix64(request_id))
     }
 
     /// The canonical textual form: 16 lowercase hex digits.

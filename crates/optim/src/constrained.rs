@@ -26,6 +26,7 @@ use crate::error::OptimError;
 use crate::gradient::gradient_central;
 use crate::root1d::{bracket_upward, brent, RootOptions};
 use crate::vector::VecN;
+use fepia_obs::hash::splitmix64;
 use std::cell::Cell;
 
 /// The problem `min ‖x − origin‖₂  s.t.  f(x) = level`, with
@@ -150,14 +151,6 @@ impl SolverWorkspace {
         }
         self.dim = n;
     }
-}
-
-/// SplitMix64 finalizer, used to derive the deterministic seed jitter.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// Rotates `dir` by a deterministic pseudo-random perturbation of relative

@@ -121,36 +121,13 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    par_map_with(items, cfg, || (), |(), i, t| f(i, t))
-}
-
-/// [`par_map`] with per-worker scratch state: `init()` runs once on each
-/// worker thread and the resulting state is threaded through every item that
-/// worker processes (`f(&mut state, index, &item)`).
-///
-/// This is the batch driver used by compiled analysis plans: each worker
-/// builds one reusable evaluation workspace instead of allocating per item.
-/// Determinism is unchanged — results depend only on `(index, item)`, never
-/// on which worker ran them, so any state must be pure scratch.
-pub fn par_map_with<T, U, S, I, F>(items: &[T], cfg: &ParConfig, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> U + Sync,
-{
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
     let threads = cfg.effective_threads(n);
     if threads == 1 || n < cfg.sequential_below {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
     let observe = fepia_obs::enabled();
@@ -160,14 +137,12 @@ where
         // Hand each worker a disjoint &mut of the output: safe, lock-free.
         for (w, out_chunk) in out.chunks_mut(chunk).enumerate() {
             let f = &f;
-            let init = &init;
             let base = w * chunk;
             let items = &items[base..base + out_chunk.len()];
             s.spawn(move || {
                 let mut stats = WorkerStats::begin(observe);
-                let mut state = init();
                 for (off, (slot, item)) in out_chunk.iter_mut().zip(items.iter()).enumerate() {
-                    *slot = Some(stats.item(|| f(&mut state, base + off, item)));
+                    *slot = Some(stats.item(|| f(base + off, item)));
                 }
                 stats.finish("static");
             });
@@ -190,7 +165,14 @@ where
     par_map_dynamic_with(items, cfg, || (), |(), i, t| f(i, t))
 }
 
-/// [`par_map_dynamic`] with per-worker scratch state (see [`par_map_with`]).
+/// [`par_map_dynamic`] with per-worker scratch state: `init()` runs once on
+/// each worker thread and the resulting state is threaded through every
+/// item that worker processes (`f(&mut state, index, &item)`).
+///
+/// This is the batch driver used by compiled analysis plans: each worker
+/// builds one reusable evaluation workspace instead of allocating per item.
+/// Determinism is unchanged — results depend only on `(index, item)`, never
+/// on which worker ran them, so any state must be pure scratch.
 pub fn par_map_dynamic_with<T, U, S, I, F>(items: &[T], cfg: &ParConfig, init: I, f: F) -> Vec<U>
 where
     T: Sync,
@@ -305,7 +287,9 @@ impl Default for CatchConfig {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic payload (`&str` or `String`; anything else
+/// gets a fixed placeholder).
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -461,19 +445,6 @@ where
         .collect()
 }
 
-/// Parallel fold: maps every item and reduces the results with `combine`
-/// (which must be associative and commutative). Returns `None` on empty
-/// input.
-pub fn par_map_reduce<T, U, F, C>(items: &[T], cfg: &ParConfig, f: F, combine: C) -> Option<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-    C: Fn(U, U) -> U,
-{
-    par_map(items, cfg, f).into_iter().reduce(combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,16 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_finds_minimum() {
-        let items: Vec<f64> = vec![5.0, 2.0, 9.0, 2.5];
-        let min = par_map_reduce(&items, &ParConfig::with_threads(2), |_, x| *x, f64::min);
-        assert_eq!(min, Some(2.0));
-        let none: Option<f64> =
-            par_map_reduce(&[] as &[f64], &ParConfig::default(), |_, x| *x, f64::min);
-        assert_eq!(none, None);
-    }
-
-    #[test]
     fn sequential_fallback_below_threshold() {
         let cfg = ParConfig {
             threads: Some(8),
@@ -583,7 +544,6 @@ mod tests {
         };
         for threads in [1, 2, 3, 8] {
             let cfg = ParConfig::with_threads(threads);
-            assert_eq!(par_map_with(&items, &cfg, init, f), expect);
             assert_eq!(par_map_dynamic_with(&items, &cfg, init, f), expect);
         }
     }

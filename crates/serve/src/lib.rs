@@ -12,8 +12,9 @@
 //!   τ, options)`, fingerprinted for routing and compiled bitwise-
 //!   identically to the legacy [`fepia_mapping::makespan_robustness_generic`]
 //!   path.
-//! * [`Service`] — N shards, each with a bounded request queue
-//!   (shed-on-full admission control or blocking backpressure), an LRU
+//! * [`Service`] — N shards, each with a bounded request queue (one
+//!   [`Service::submit`] path, shed-on-full admission control or blocking
+//!   backpressure as its [`Submit`] says), an LRU
 //!   plan cache with single-flight compilation coalescing, and worker
 //!   threads that answer every accepted request — panics, compile
 //!   failures and injected faults all degrade to typed
@@ -49,6 +50,6 @@ pub use scenario::{
     MAX_CURVE_POINTS,
 };
 pub use service::{
-    Completion, Disposition, EvalKind, EvalRequest, EvalResponse, Overloaded, RequestBudget,
-    ServeError, Service, ServiceConfig, ServiceStats, ShardStatsSnapshot, ShedReason, Ticket,
+    Disposition, EvalKind, EvalRequest, EvalResponse, Overloaded, RequestBudget, ServeError,
+    Service, ServiceConfig, ServiceStats, ShardStatsSnapshot, ShedReason, Submit, Ticket,
 };

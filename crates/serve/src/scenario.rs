@@ -398,44 +398,22 @@ impl CompiledScenario {
         &self.origin
     }
 
-    /// Fault-tolerant evaluation at `C_orig`.
-    pub fn verdict_at_origin(
-        &self,
-        ws: &mut PlanWorkspace,
-        policy: &ResiliencePolicy,
-    ) -> PlanVerdict {
-        self.plan.evaluate_verdict_with(&self.origin, ws, policy)
-    }
-
-    /// [`Self::verdict_at_origin`] under a deterministic work budget — the
-    /// brownout path. Affine features stay exact; numeric features past the
-    /// budget truncate to certified `Bounded` intervals.
+    /// Fault-tolerant evaluation at `C_orig` under a deterministic work
+    /// budget ([`EvalBudget::UNLIMITED`] for the full-precision path; the
+    /// brownout path truncates numeric features past the budget to
+    /// certified `Bounded` intervals while affine features stay exact).
     pub fn verdict_at_origin_budgeted(
         &self,
         ws: &mut PlanWorkspace,
         policy: &ResiliencePolicy,
         budget: EvalBudget,
     ) -> PlanVerdict {
-        self.plan
-            .evaluate_verdict_budgeted_with(&self.origin, ws, policy, budget)
+        self.plan.verdict(&self.origin, ws, policy, budget, None)
     }
 
     /// Fault-tolerant evaluation at caller-supplied origins (perturbed
-    /// operating points), one verdict per origin.
-    pub fn verdicts_at(
-        &self,
-        origins: &[VecN],
-        ws: &mut PlanWorkspace,
-        policy: &ResiliencePolicy,
-    ) -> Vec<PlanVerdict> {
-        origins
-            .iter()
-            .map(|o| self.plan.evaluate_verdict_with(o, ws, policy))
-            .collect()
-    }
-
-    /// [`Self::verdicts_at`] under a deterministic work budget, applied
-    /// per origin.
+    /// operating points), one verdict per origin, under a deterministic
+    /// work budget applied per origin.
     pub fn verdicts_at_budgeted(
         &self,
         origins: &[VecN],
@@ -445,10 +423,7 @@ impl CompiledScenario {
     ) -> Vec<PlanVerdict> {
         origins
             .iter()
-            .map(|o| {
-                self.plan
-                    .evaluate_verdict_budgeted_with(o, ws, policy, budget)
-            })
+            .map(|o| self.plan.verdict(o, ws, policy, budget, None))
             .collect()
     }
 
@@ -603,7 +578,11 @@ mod tests {
             let s = scenario(seed, 1.2);
             let compiled = s.compile().unwrap();
             let mut ws = PlanWorkspace::new();
-            let v = compiled.verdict_at_origin(&mut ws, &ResiliencePolicy::default());
+            let v = compiled.verdict_at_origin_budgeted(
+                &mut ws,
+                &ResiliencePolicy::default(),
+                EvalBudget::UNLIMITED,
+            );
             assert!(v.is_exact());
             let report =
                 fepia_mapping::makespan_robustness_generic(s.mapping(), s.etc(), s.tau(), s.opts())

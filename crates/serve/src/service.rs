@@ -7,12 +7,16 @@
 //! traffic for one scenario lands on one shard — its plan is compiled
 //! once, cached once, and never duplicated across shards.
 //!
-//! **Admission.** [`Service::submit`] never blocks: a full queue sheds the
-//! request with a typed [`Overloaded`] carrying the shard and
-//! [`ShedReason`]. [`Service::submit_blocking`] waits for space instead
-//! (backpressure for batch clients). After [`Service::shutdown`] begins,
-//! both reject with [`ShedReason::ShuttingDown`] while workers drain every
-//! request already accepted — accepted work is never dropped.
+//! **Admission.** One [`Submit`] value says how a request enters:
+//! [`Service::submit`] hands back a [`Ticket`], [`Service::submit_with`]
+//! runs a completion callback on the worker thread instead (the event-loop
+//! net server's hand-off), and [`Service::call`] submits and waits. By
+//! default a full queue sheds the request with a typed [`Overloaded`]
+//! carrying the shard and [`ShedReason`]; [`Submit::wait`] waits for space
+//! instead (backpressure for batch clients, and what [`Service::call`]
+//! does). After [`Service::shutdown`] begins, every path rejects with
+//! [`ShedReason::ShuttingDown`] while workers drain every request already
+//! accepted — accepted work is never dropped.
 //!
 //! **Fault tolerance.** Each evaluation attempt runs under
 //! `catch_unwind`; a panicking attempt (e.g. injected at the
@@ -151,6 +155,22 @@ impl RequestBudget {
     }
 }
 
+/// How one request is submitted: the three things submission paths differ
+/// in. `Submit::default()` mints the trace id from the request id, carries
+/// no deadline, and sheds on a full queue.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Submit {
+    /// Trace id carried through the queue (see [`fepia_obs::trace`]).
+    /// `None` mints it from the request id when tracing is on; `Some(0)`
+    /// is untraced. The net server forwards the id in the frame header.
+    pub trace: Option<u64>,
+    /// Deadline/brownout metadata.
+    pub budget: RequestBudget,
+    /// Wait for queue space instead of shedding with
+    /// [`ShedReason::QueueFull`]. A draining service rejects either way.
+    pub wait: bool,
+}
+
 /// The service's answer to one [`EvalRequest`].
 #[derive(Clone, Debug)]
 pub struct EvalResponse {
@@ -236,7 +256,8 @@ pub struct ServiceConfig {
     /// compile with cached traffic (compilation is single-flighted either
     /// way).
     pub workers_per_shard: usize,
-    /// Per-shard queue capacity; `submit` sheds beyond it.
+    /// Per-shard queue capacity; a submission that does not wait sheds
+    /// beyond it.
     pub queue_capacity: usize,
     /// Per-shard plan-cache capacity (compiled scenarios).
     pub cache_capacity: usize,
@@ -377,18 +398,12 @@ impl ServiceStats {
     }
 }
 
-/// How a finished response leaves the worker thread.
-///
-/// The blocking submission paths wait on a channel ([`Ticket`]); the
-/// event-loop net server instead registers a callback that pushes the
-/// response onto its completion queue and wakes the loop — workers never
-/// block on delivery either way.
-pub enum Completion {
-    /// Deliver through a channel a [`Ticket`] is waiting on. A dropped
-    /// receiver silently discards the response (client abandoned it).
+/// How a finished response leaves the worker thread: through the channel a
+/// [`Ticket`] waits on (a dropped receiver silently discards the response),
+/// or through a callback run inline on the worker thread, which must be
+/// cheap and must not block. Workers never block on delivery either way.
+enum Completion {
     Channel(mpsc::Sender<EvalResponse>),
-    /// Invoke a callback on the worker thread. Must be cheap and must not
-    /// block: it runs inline in the worker loop.
     Callback(Box<dyn FnOnce(EvalResponse) + Send + 'static>),
 }
 
@@ -410,7 +425,7 @@ struct Job {
     done: Completion,
     enqueued: Instant,
     /// Trace id carried through the queue (see [`fepia_obs::trace`]); 0
-    /// when the submission path did not mint one (tracing off).
+    /// when untraced.
     trace: u64,
     /// Deadline/brownout metadata from admission.
     budget: RequestBudget,
@@ -560,50 +575,44 @@ impl Service {
         }
     }
 
-    fn admit_with(
+    /// The one admission path: validate, route, then push onto the shard's
+    /// queue — waiting for space or shedding, as `how` says.
+    fn enqueue(
         &self,
         req: EvalRequest,
-        trace: u64,
-        budget: RequestBudget,
+        how: Submit,
         done: Completion,
-    ) -> Result<(usize, Job), ServeError> {
+    ) -> Result<usize, ServeError> {
         Self::validate(&req)?;
         fepia_chaos::maybe_delay("serve.enqueue");
         let shard = self.shard_for(req.scenario.fingerprint());
+        let trace = how.trace.unwrap_or_else(|| Self::default_trace(&req));
         let job = Job {
             req,
             done,
             enqueued: Instant::now(),
             trace,
-            budget,
+            budget: how.budget,
         };
-        Ok((shard, job))
-    }
-
-    fn admit(
-        &self,
-        req: EvalRequest,
-        trace: u64,
-        budget: RequestBudget,
-    ) -> Result<(usize, Job, Ticket), ServeError> {
-        let (tx, rx) = mpsc::channel();
-        let (shard, job) = self.admit_with(req, trace, budget, Completion::Channel(tx))?;
-        Ok((shard, job, Ticket { rx, shard }))
-    }
-
-    fn try_push(&self, shard: usize, job: Job) -> Result<(), ServeError> {
-        match self.shards[shard].queue.try_push(job) {
+        let queue = &self.shards[shard].queue;
+        let pushed = if how.wait {
+            queue
+                .push_blocking(job)
+                .map_err(|job| (job, ShedReason::ShuttingDown))
+        } else {
+            queue.try_push(job).map_err(|e| match e {
+                PushError::Full(job) => (job, ShedReason::QueueFull),
+                PushError::Closed(job) => (job, ShedReason::ShuttingDown),
+            })
+        };
+        match pushed {
             Ok(()) => {
                 self.accepted(shard);
-                Ok(())
+                Ok(shard)
             }
-            Err(PushError::Full(job)) => {
-                self.shed_span(&job, ShedReason::QueueFull);
-                Err(self.shed(shard, ShedReason::QueueFull))
-            }
-            Err(PushError::Closed(job)) => {
-                self.shed_span(&job, ShedReason::ShuttingDown);
-                Err(self.shed(shard, ShedReason::ShuttingDown))
+            Err((job, reason)) => {
+                self.shed_span(&job, reason);
+                Err(self.shed(shard, reason))
             }
         }
     }
@@ -631,7 +640,7 @@ impl Service {
         }
     }
 
-    /// The trace id the plain submission paths attach: minted from the
+    /// The trace id a submission without one attaches: minted from the
     /// request id when tracing is on, 0 (no trace) otherwise.
     fn default_trace(req: &EvalRequest) -> u64 {
         if fepia_obs::trace_enabled() {
@@ -663,116 +672,43 @@ impl Service {
         }
     }
 
-    /// Non-blocking submission: sheds with a typed [`Overloaded`] when the
-    /// target shard's queue is full or the service is draining.
-    pub fn submit(&self, req: EvalRequest) -> Result<Ticket, ServeError> {
-        let trace = Self::default_trace(&req);
-        self.submit_traced(req, trace)
+    /// Submits a request; the response arrives on the returned [`Ticket`].
+    /// Refused at admission with a typed error: [`ServeError::Invalid`] for
+    /// a malformed request, [`Overloaded`] when the queue is full (unless
+    /// `how.wait`) or the service is draining.
+    pub fn submit(&self, req: EvalRequest, how: Submit) -> Result<Ticket, ServeError> {
+        let (tx, rx) = mpsc::channel();
+        let shard = self.enqueue(req, how, Completion::Channel(tx))?;
+        Ok(Ticket { rx, shard })
     }
 
-    /// [`Service::submit`] with a caller-supplied trace id (the net server
-    /// forwards the id carried in the frame header). `trace = 0` means
-    /// untraced.
-    pub fn submit_traced(&self, req: EvalRequest, trace: u64) -> Result<Ticket, ServeError> {
-        self.submit_traced_budget(req, trace, RequestBudget::default())
-    }
-
-    /// [`Service::submit_traced`] with deadline/brownout metadata.
-    pub fn submit_traced_budget(
-        &self,
-        req: EvalRequest,
-        trace: u64,
-        budget: RequestBudget,
-    ) -> Result<Ticket, ServeError> {
-        let (shard, job, ticket) = self.admit(req, trace, budget)?;
-        self.try_push(shard, job)?;
-        Ok(ticket)
-    }
-
-    /// Non-blocking submission with a completion callback instead of a
+    /// [`Service::submit`] with a completion callback instead of a
     /// [`Ticket`]: on acceptance, `done` later runs *on the worker thread*
     /// with the response, and the routed shard index is returned now. On
     /// refusal the callback is dropped unrun and the typed error returned
     /// — the caller answers the client itself. This is the event-loop net
     /// server's hand-off: its callback enqueues the response and wakes the
     /// loop's poll, so no thread ever blocks waiting on a ticket.
-    pub fn submit_traced_with<F>(
+    pub fn submit_with<F>(
         &self,
         req: EvalRequest,
-        trace: u64,
+        how: Submit,
         done: F,
     ) -> Result<usize, ServeError>
     where
         F: FnOnce(EvalResponse) + Send + 'static,
     {
-        self.submit_traced_budget_with(req, trace, RequestBudget::default(), done)
+        self.enqueue(req, how, Completion::Callback(Box::new(done)))
     }
 
-    /// [`Service::submit_traced_with`] with deadline/brownout metadata —
-    /// the net server's v3 hand-off: the frame's relative deadline and the
-    /// event loop's admission-control brownout hint ride along to the
-    /// worker.
-    pub fn submit_traced_budget_with<F>(
-        &self,
-        req: EvalRequest,
-        trace: u64,
-        budget: RequestBudget,
-        done: F,
-    ) -> Result<usize, ServeError>
-    where
-        F: FnOnce(EvalResponse) + Send + 'static,
-    {
-        let (shard, job) =
-            self.admit_with(req, trace, budget, Completion::Callback(Box::new(done)))?;
-        self.try_push(shard, job)?;
-        Ok(shard)
-    }
-
-    /// Blocking submission: waits for queue space (backpressure) instead of
-    /// shedding; still rejects once the service is draining.
-    pub fn submit_blocking(&self, req: EvalRequest) -> Result<Ticket, ServeError> {
-        let trace = Self::default_trace(&req);
-        self.submit_blocking_traced(req, trace)
-    }
-
-    /// [`Service::submit_blocking`] with a caller-supplied trace id.
-    pub fn submit_blocking_traced(
-        &self,
-        req: EvalRequest,
-        trace: u64,
-    ) -> Result<Ticket, ServeError> {
-        let (shard, job, ticket) = self.admit(req, trace, RequestBudget::default())?;
-        match self.shards[shard].queue.push_blocking(job) {
-            Ok(()) => {
-                self.accepted(shard);
-                Ok(ticket)
-            }
-            Err(job) => {
-                self.shed_span(&job, ShedReason::ShuttingDown);
-                Err(self.shed(shard, ShedReason::ShuttingDown))
-            }
-        }
-    }
-
-    /// Submit-and-wait convenience (non-blocking admission).
+    /// Submit-and-wait: waits for queue space (backpressure) instead of
+    /// shedding, then for the response.
     pub fn call(&self, req: EvalRequest) -> Result<EvalResponse, ServeError> {
-        self.submit(req)?.wait()
-    }
-
-    /// Submit-and-wait with deadline/brownout metadata (non-blocking
-    /// admission).
-    pub fn call_budget(
-        &self,
-        req: EvalRequest,
-        budget: RequestBudget,
-    ) -> Result<EvalResponse, ServeError> {
-        let trace = Self::default_trace(&req);
-        self.submit_traced_budget(req, trace, budget)?.wait()
-    }
-
-    /// Submit-and-wait convenience with backpressure admission.
-    pub fn call_blocking(&self, req: EvalRequest) -> Result<EvalResponse, ServeError> {
-        self.submit_blocking(req)?.wait()
+        let how = Submit {
+            wait: true,
+            ..Submit::default()
+        };
+        self.submit(req, how)?.wait()
     }
 
     /// Current counter snapshots.
@@ -1247,10 +1183,11 @@ mod tests {
                 )
                 .unwrap(),
             );
-            let expected = solo
-                .compile()
-                .unwrap()
-                .verdict_at_origin(&mut PlanWorkspace::new(), service.policy());
+            let expected = solo.compile().unwrap().verdict_at_origin_budgeted(
+                &mut PlanWorkspace::new(),
+                service.policy(),
+                EvalBudget::UNLIMITED,
+            );
             assert_eq!(v.metric_hi.to_bits(), expected.metric_hi.to_bits());
             assert_eq!(v.metric_lo.to_bits(), expected.metric_lo.to_bits());
         }
@@ -1282,20 +1219,26 @@ mod tests {
         let heavy: Vec<(usize, usize)> = (0..20_000).map(|k| (k % 20, k % 5)).collect();
         tickets.push(
             service
-                .submit(EvalRequest {
-                    id: 0,
-                    scenario: Arc::clone(&s),
-                    kind: EvalKind::Moves(heavy),
-                })
+                .submit(
+                    EvalRequest {
+                        id: 0,
+                        scenario: Arc::clone(&s),
+                        kind: EvalKind::Moves(heavy),
+                    },
+                    Submit::default(),
+                )
                 .unwrap(),
         );
         let mut shed = None;
         for id in 1..10_000 {
-            match service.submit(EvalRequest {
-                id,
-                scenario: Arc::clone(&s),
-                kind: EvalKind::Verdict,
-            }) {
+            match service.submit(
+                EvalRequest {
+                    id,
+                    scenario: Arc::clone(&s),
+                    kind: EvalKind::Verdict,
+                },
+                Submit::default(),
+            ) {
                 Ok(t) => tickets.push(t),
                 Err(e) => {
                     shed = Some(e);
@@ -1325,11 +1268,17 @@ mod tests {
         let tickets: Vec<Ticket> = (0..8)
             .map(|id| {
                 service
-                    .submit_blocking(EvalRequest {
-                        id,
-                        scenario: Arc::clone(&s),
-                        kind: EvalKind::Verdict,
-                    })
+                    .submit(
+                        EvalRequest {
+                            id,
+                            scenario: Arc::clone(&s),
+                            kind: EvalKind::Verdict,
+                        },
+                        Submit {
+                            wait: true,
+                            ..Submit::default()
+                        },
+                    )
                     .unwrap()
             })
             .collect();
@@ -1347,13 +1296,16 @@ mod tests {
         let s = scenario(7);
         let (tx, rx) = mpsc::channel();
         let shard = service
-            .submit_traced_with(
+            .submit_with(
                 EvalRequest {
                     id: 90,
                     scenario: Arc::clone(&s),
                     kind: EvalKind::Verdict,
                 },
-                0,
+                Submit {
+                    trace: Some(0),
+                    ..Submit::default()
+                },
                 move |resp| {
                     tx.send(resp).unwrap();
                 },
@@ -1377,13 +1329,16 @@ mod tests {
         );
 
         // Invalid requests are refused before the callback is ever stored.
-        let err = service.submit_traced_with(
+        let err = service.submit_with(
             EvalRequest {
                 id: 92,
                 scenario: scenario(7),
                 kind: EvalKind::Moves(vec![(99, 0)]),
             },
-            0,
+            Submit {
+                trace: Some(0),
+                ..Submit::default()
+            },
             |_| panic!("callback must not run for a refused request"),
         );
         assert!(matches!(err, Err(ServeError::Invalid(_))));
@@ -1391,7 +1346,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_dropped_at_dequeue() {
-        // One worker pinned on a heavy request; a zero-deadline request
+        // One worker pinned on a heavy request; zero-deadline requests
         // queued behind it must come back DeadlineExceeded without being
         // evaluated.
         let service = Service::start(ServiceConfig {
@@ -1403,29 +1358,54 @@ mod tests {
         let s = scenario(8);
         let heavy: Vec<(usize, usize)> = (0..50_000).map(|k| (k % 20, k % 5)).collect();
         let pin = service
-            .submit(EvalRequest {
-                id: 0,
-                scenario: Arc::clone(&s),
-                kind: EvalKind::Moves(heavy),
-            })
+            .submit(
+                EvalRequest {
+                    id: 0,
+                    scenario: Arc::clone(&s),
+                    kind: EvalKind::Moves(heavy),
+                },
+                Submit::default(),
+            )
+            .unwrap();
+        // A submission that waits for queue space can carry a deadline too.
+        let waited = service
+            .submit(
+                EvalRequest {
+                    id: 2,
+                    scenario: Arc::clone(&s),
+                    kind: EvalKind::Verdict,
+                },
+                Submit {
+                    budget: RequestBudget::with_deadline(Duration::ZERO),
+                    wait: true,
+                    ..Submit::default()
+                },
+            )
             .unwrap();
         let expired = service
-            .call_budget(
+            .submit(
                 EvalRequest {
                     id: 1,
                     scenario: Arc::clone(&s),
                     kind: EvalKind::Verdict,
                 },
-                RequestBudget::with_deadline(Duration::ZERO),
+                Submit {
+                    budget: RequestBudget::with_deadline(Duration::ZERO),
+                    ..Submit::default()
+                },
             )
+            .and_then(Ticket::wait)
             .unwrap();
         assert_eq!(expired.disposition, Disposition::DeadlineExceeded);
         assert!(expired.verdicts.is_empty());
         assert_eq!(expired.attempts, 0);
         assert_eq!(expired.cache, None);
+        let waited = waited.wait().unwrap();
+        assert_eq!(waited.disposition, Disposition::DeadlineExceeded);
+        assert!(waited.verdicts.is_empty());
         pin.wait().unwrap();
         let totals = service.shutdown().totals();
-        assert_eq!(totals.deadline_expired, 1);
+        assert_eq!(totals.deadline_expired, 2);
     }
 
     #[test]
@@ -1470,14 +1450,18 @@ mod tests {
         let service = small_service();
         let s = scenario(10);
         let resp = service
-            .call_budget(
+            .submit(
                 EvalRequest {
                     id: 3,
                     scenario: s,
                     kind: EvalKind::Verdict,
                 },
-                RequestBudget::with_deadline(Duration::from_secs(60)),
+                Submit {
+                    budget: RequestBudget::with_deadline(Duration::from_secs(60)),
+                    ..Submit::default()
+                },
             )
+            .and_then(Ticket::wait)
             .unwrap();
         assert_eq!(resp.disposition, Disposition::Full);
         assert_eq!(resp.verdicts.len(), 1);

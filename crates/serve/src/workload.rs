@@ -19,6 +19,7 @@ use crate::service::{EvalKind, EvalRequest, EvalResponse};
 use fepia_core::{PlanVerdict, RadiusOptions, RadiusVerdict, VerdictKind};
 use fepia_etc::{generate_cvb, EtcParams};
 use fepia_mapping::Mapping;
+use fepia_obs::hash::Fnv1a;
 use fepia_optim::VecN;
 use fepia_stats::rng_for;
 use rand::Rng;
@@ -158,27 +159,21 @@ fn origins_kind(spec: &WorkloadSpec, scenario: &Arc<Scenario>, rng: &mut impl Rn
 /// verdict count, then per verdict its kind, metric interval bits and
 /// binding index.
 pub fn response_digest(resp: &EvalResponse) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut word = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    word(resp.id);
-    word(resp.verdicts.len() as u64);
+    let mut h = Fnv1a::new();
+    h.u64(resp.id);
+    h.u64(resp.verdicts.len() as u64);
     for v in &resp.verdicts {
-        word(match v.kind {
+        h.u64(match v.kind {
             VerdictKind::Exact => 1,
             VerdictKind::Bounded => 2,
             VerdictKind::Infeasible => 3,
             VerdictKind::Failed => 4,
         });
-        word(v.metric_lo.to_bits());
-        word(v.metric_hi.to_bits());
-        word(v.binding.map_or(u64::MAX, |b| b as u64));
+        h.u64(v.metric_lo.to_bits());
+        h.u64(v.metric_hi.to_bits());
+        h.u64(v.binding.map_or(u64::MAX, |b| b as u64));
     }
-    h
+    h.finish()
 }
 
 /// Order-independent combination of per-request digests (wrapping sum), so

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example curve_roundtrip`
 
-use fepia::core::VerdictKind;
+use fepia::core::{EvalBudget, VerdictKind};
 use fepia::etc::EtcMatrix;
 use fepia::mapping::Mapping;
 use fepia::net::{ClientConfig, NetClient, NetServer, ServerConfig};
@@ -82,7 +82,11 @@ fn main() {
         );
         let compiled = solo.compile().expect("compiles");
         let mut ws = compiled.plan().workspace();
-        let single = compiled.verdict_at_origin(&mut ws, &Default::default());
+        let single = compiled.verdict_at_origin_budgeted(
+            &mut ws,
+            &Default::default(),
+            EvalBudget::UNLIMITED,
+        );
         assert_eq!(v.kind, VerdictKind::Exact);
         assert_eq!(v.metric_lo.to_bits(), single.metric_lo.to_bits());
         assert_eq!(v.metric_hi.to_bits(), single.metric_hi.to_bits());

@@ -66,9 +66,7 @@ fn main() {
 
     // The equivalence guarantee, demonstrated: the response that crossed
     // the wire is bitwise identical to the in-process answer.
-    let in_process = service
-        .call_blocking(req)
-        .expect("in-process evaluation accepted");
+    let in_process = service.call(req).expect("in-process evaluation accepted");
     assert_eq!(
         encode_response(&resp).len(),
         encode_response(&in_process).len()

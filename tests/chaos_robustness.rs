@@ -19,8 +19,8 @@
 //!   exact PR 2 evaluation path.
 
 use fepia::core::{
-    FeatureSpec, FepiaAnalysis, FnImpact, LinearImpact, Perturbation, RadiusOptions,
-    ResiliencePolicy, Tolerance, VerdictKind,
+    EvalBudget, FeatureSpec, FepiaAnalysis, FnImpact, LinearImpact, Perturbation, PlanWorkspace,
+    RadiusOptions, ResiliencePolicy, Tolerance, VerdictKind,
 };
 use fepia::etc::{generate_cvb, EtcParams};
 use fepia::mapping::{DeltaEval, Mapping};
@@ -114,9 +114,9 @@ fn chaos_batch_sweeps_return_a_verdict_for_every_origin() {
 
     for &rate in &[0.05, 0.2] {
         fepia::chaos::set_for_test(2003, rate);
-        let seq = plan.evaluate_batch_verdicts(&origins, &policy);
+        let seq = plan.verdict_batch(&origins, &ParConfig::with_threads(1), &policy);
         fepia::chaos::set_for_test(2003, rate);
-        let par = plan.evaluate_batch_par_verdicts(&origins, &ParConfig::with_threads(4), &policy);
+        let par = plan.verdict_batch(&origins, &ParConfig::with_threads(4), &policy);
         fepia::chaos::clear();
 
         assert_eq!(seq.len(), origins.len());
@@ -225,7 +225,8 @@ proptest! {
         let idx = rng.gen_range(0..dim);
         origin[idx] = bad_value;
 
-        let v = plan.evaluate_verdict(&VecN::from(origin), &policy);
+        let mut ws = PlanWorkspace::new();
+        let v = plan.verdict(&VecN::from(origin), &mut ws, &policy, EvalBudget::UNLIMITED, None);
         prop_assert_eq!(v.kind, VerdictKind::Failed);
         prop_assert_eq!(v.metric_lo, 0.0);
 
@@ -254,8 +255,9 @@ proptest! {
         let policy = ResiliencePolicy::default();
 
         for origin in random_origins(seed, 8, dim) {
-            let exact = plan.evaluate(&origin).expect("clean system evaluates");
-            let verdict = plan.evaluate_verdict(&origin, &policy);
+            let mut ws = PlanWorkspace::new();
+            let exact = plan.evaluate(&origin, &mut ws).expect("clean system evaluates");
+            let verdict = plan.verdict(&origin, &mut ws, &policy, EvalBudget::UNLIMITED, None);
             // Clean inputs never degrade: the kind is Exact (or Infeasible
             // when a tolerance is violated at this origin, radius exactly 0).
             prop_assert!(verdict.is_exact());

@@ -94,7 +94,7 @@ fn single_tau_truth(scenario: &Arc<Scenario>, levels: &[f64]) -> Vec<PlanVerdict
             );
             let compiled = solo.compile().expect("oracle scenario compiles");
             let mut ws = compiled.plan().workspace();
-            compiled.verdict_at_origin(&mut ws, &policy)
+            compiled.verdict_at_origin_budgeted(&mut ws, &policy, EvalBudget::UNLIMITED)
         })
         .collect()
 }
@@ -134,7 +134,7 @@ fn curve_points_bitwise_equal_single_tau_oracle_cold_and_cached() {
         let truth = single_tau_truth(scenario, &LEVELS);
         let req = explicit_curve(scenario, s as u64, &LEVELS);
 
-        let cold = service.call_blocking(req.clone()).expect("cold accepted");
+        let cold = service.call(req.clone()).expect("cold accepted");
         assert_eq!(
             cold.cache,
             Some(CacheOutcome::Compiled),
@@ -151,7 +151,7 @@ fn curve_points_bitwise_equal_single_tau_oracle_cold_and_cached() {
             "scenario {s}: loosening an upper tolerance cannot certify a ρ decrease"
         );
 
-        let cached = service.call_blocking(req).expect("cached accepted");
+        let cached = service.call(req).expect("cached accepted");
         assert_eq!(
             cached.cache,
             Some(CacheOutcome::Hit),
@@ -183,7 +183,7 @@ fn curves_over_tcp_bitwise_equal_in_process_and_oracle() {
 
     for (s, scenario) in pool.iter().enumerate() {
         let req = explicit_curve(scenario, s as u64, &LEVELS);
-        let expected = reference.call_blocking(req.clone()).expect("reference");
+        let expected = reference.call(req.clone()).expect("reference");
         let over_tcp = client.call(&req).expect("tcp curve succeeds chaos-off");
         assert_eq!(
             encode_response(&over_tcp),
@@ -211,7 +211,7 @@ fn curves_over_tcp_bitwise_equal_in_process_and_oracle() {
             },
         }),
     };
-    let expected = reference.call_blocking(adaptive.clone()).unwrap();
+    let expected = reference.call(adaptive.clone()).unwrap();
     let over_tcp = client.call(&adaptive).unwrap();
     assert_eq!(
         encode_response(&over_tcp),
@@ -279,7 +279,7 @@ fn curve_points_bitwise_equal_single_tau_oracle_under_chaos() {
     let mut ws = compiled.plan().workspace();
     let chaos_singles: Vec<_> = singles
         .iter()
-        .map(|c| c.verdict_at_origin(&mut ws, &policy))
+        .map(|c| c.verdict_at_origin_budgeted(&mut ws, &policy, EvalBudget::UNLIMITED))
         .collect();
     fepia::chaos::clear();
 
@@ -395,7 +395,7 @@ fn brownout_curves_stay_bitwise_certified_per_point() {
     let scenario = &pool[0];
     let truth = single_tau_truth(scenario, &LEVELS);
     let resp = service
-        .call_blocking(explicit_curve(scenario, 0, &LEVELS))
+        .call(explicit_curve(scenario, 0, &LEVELS))
         .expect("brownout curve accepted");
     assert_eq!(resp.disposition, Disposition::Brownout);
     assert!(

@@ -61,7 +61,7 @@ fn cold_per_level(scenario: &Arc<Scenario>, levels: &[f64]) -> Vec<PlanVerdict> 
             );
             let compiled = solo.compile().expect("cold oracle compiles");
             let mut ws = compiled.plan().workspace();
-            compiled.verdict_at_origin(&mut ws, &policy)
+            compiled.verdict_at_origin_budgeted(&mut ws, &policy, EvalBudget::UNLIMITED)
         })
         .collect()
 }
@@ -149,14 +149,14 @@ fn singleton_curve_bitwise_identical_to_verdict_path() {
     for (s, scenario) in pool.iter().enumerate() {
         let tau = scenario.tau();
         let verdict = service
-            .call_blocking(EvalRequest {
+            .call(EvalRequest {
                 id: s as u64,
                 scenario: Arc::clone(scenario),
                 kind: EvalKind::Verdict,
             })
             .expect("verdict accepted");
         let curve = service
-            .call_blocking(EvalRequest {
+            .call(EvalRequest {
                 id: s as u64,
                 scenario: Arc::clone(scenario),
                 kind: EvalKind::Curve(CurveSpec {

@@ -45,7 +45,7 @@ fn valid_response_payload() -> &'static Vec<u8> {
         let pool = scenario_pool(&spec);
         let service = Service::start(Default::default());
         let resp = service
-            .call_blocking(request(&spec, &pool, 3))
+            .call(request(&spec, &pool, 3))
             .expect("clean service answers");
         service.shutdown();
         encode_response(&resp)
@@ -94,7 +94,7 @@ fn valid_curve_response_payload() -> &'static Vec<u8> {
         let pool = scenario_pool(&WorkloadSpec::default());
         let service = Service::start(Default::default());
         let resp = service
-            .call_blocking(curve_requests(&pool).remove(0))
+            .call(curve_requests(&pool).remove(0))
             .expect("clean service answers curves");
         service.shutdown();
         assert!(resp.curve.is_some(), "curve responses carry meta");

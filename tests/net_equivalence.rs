@@ -90,9 +90,7 @@ fn tcp_responses_bitwise_equal_in_process_chaos_off() {
 
     for index in 0..REQUESTS {
         let req = request(&spec, &pool, index);
-        let expected = reference
-            .call_blocking(req.clone())
-            .expect("reference accepts");
+        let expected = reference.call(req.clone()).expect("reference accepts");
         let over_tcp = client.call(&req).expect("tcp call succeeds chaos-off");
         assert_eq!(
             encode_response(&over_tcp),
@@ -132,7 +130,7 @@ fn tcp_verdicts_bitwise_equal_ground_truth_under_chaos() {
         let out = (0..CHAOS_REQUESTS)
             .map(|i| {
                 service
-                    .call_blocking(moves_request(&spec, &pool, i))
+                    .call(moves_request(&spec, &pool, i))
                     .expect("clean run accepts")
             })
             .collect();
@@ -239,7 +237,7 @@ fn client_reconnects_through_torn_frame() {
 
     // A real response to replay from the scripted server.
     let service = Service::start(equivalence_config());
-    let expected = service.call_blocking(req.clone()).unwrap();
+    let expected = service.call(req.clone()).unwrap();
     service.shutdown();
     let response_payload = encode_response(&expected);
 
@@ -390,7 +388,7 @@ fn shutdown_drains_accepted_requests() {
     }
     for index in 0..PIPELINED {
         let req = request(&spec, &pool, index);
-        let expected = reference.call_blocking(req).unwrap();
+        let expected = reference.call(req).unwrap();
         let payload = by_id
             .get(&index)
             .unwrap_or_else(|| panic!("no response for request {index}"));

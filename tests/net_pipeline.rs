@@ -71,7 +71,7 @@ fn batch_of_64_reaches_pipeline_depth_8_and_stays_bitwise_equal() {
     assert_eq!(responses.len() as u64, BATCH);
     for (index, (req, resp)) in reqs.iter().zip(&responses).enumerate() {
         assert_eq!(resp.id, req.id, "slot {index} holds the wrong response");
-        let expected = reference.call_blocking(req.clone()).expect("reference");
+        let expected = reference.call(req.clone()).expect("reference");
         assert_eq!(
             encode_response(resp),
             encode_response(&expected),
@@ -114,7 +114,7 @@ fn reverse_order_responses_are_matched_by_id() {
     let reference = Service::start(pipeline_config());
     let payloads: Vec<Vec<u8>> = reqs
         .iter()
-        .map(|r| encode_response(&reference.call_blocking(r.clone()).unwrap()))
+        .map(|r| encode_response(&reference.call(r.clone()).unwrap()))
         .collect();
     reference.shutdown();
 

@@ -103,7 +103,7 @@ fn drive_in_process(spec: &WorkloadSpec) -> u64 {
                     let mut index = t;
                     while index < SOAK_REQUESTS {
                         let resp = service
-                            .call_blocking(request(spec, pool, index))
+                            .call(request(spec, pool, index))
                             .expect("in-process soak accepts");
                         digest = combine_digests([digest, response_digest(&resp)]);
                         index += CLIENTS;

@@ -214,7 +214,7 @@ fn compiled_batch_and_delta_are_deterministic_under_obs() {
     fepia_obs::set_events_enabled(false);
     let (plan, origins) = batch_plan_and_origins();
     let reference: Vec<u64> = plan
-        .evaluate_batch(&origins)
+        .evaluate_batch(&origins, &ParConfig::with_threads(1))
         .expect("batch evaluates")
         .iter()
         .map(|e| e.metric.to_bits())
@@ -236,7 +236,7 @@ fn compiled_batch_and_delta_are_deterministic_under_obs() {
     for threads in [1, 2, 8] {
         let cfg = ParConfig::with_threads(threads);
         let par_bits: Vec<u64> = plan_obs
-            .evaluate_batch_par(&origins, &cfg)
+            .evaluate_batch(&origins, &cfg)
             .expect("parallel batch evaluates")
             .iter()
             .map(|e| e.metric.to_bits())

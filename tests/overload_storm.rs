@@ -184,7 +184,7 @@ fn admission_brownout_is_sound_marked_and_reproducible() {
     // Full-precision reference, computed in-process with no brownout.
     let reference = Service::start(ServiceConfig::default());
     let full: Vec<_> = (0..N)
-        .map(|i| reference.call_blocking(request(&spec, &pool, i)).unwrap())
+        .map(|i| reference.call(request(&spec, &pool, i)).unwrap())
         .collect();
     reference.shutdown();
 
@@ -499,7 +499,7 @@ fn deadline_call_on_healthy_server_is_full_precision() {
         .expect("well within budget");
     assert_eq!(over_tcp.disposition, Disposition::Full);
 
-    let in_process = service.call_blocking(request(&spec, &pool, 7)).unwrap();
+    let in_process = service.call(request(&spec, &pool, 7)).unwrap();
     assert!(
         fepia::serve::workload::verdicts_bitwise_equal(&over_tcp.verdicts, &in_process.verdicts),
         "deadline transport must not perturb the answer"

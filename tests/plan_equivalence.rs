@@ -8,7 +8,7 @@
 
 use fepia::core::{
     robustness_radius, FeatureSpec, FepiaAnalysis, FnImpact, LinearImpact, Perturbation,
-    RadiusOptions, Tolerance,
+    PlanWorkspace, RadiusOptions, Tolerance,
 };
 use fepia::etc::{generate_cvb, EtcParams};
 use fepia::mapping::{makespan_robustness, DeltaEval, Mapping};
@@ -77,7 +77,7 @@ proptest! {
         }
         analysis.add_feature(sys.numeric_spec.clone(), numeric_impact(&sys));
         let plan = analysis.compile(&opts).expect("compiles");
-        let evaluation = plan.evaluate(&sys.origin).expect("evaluates");
+        let evaluation = plan.evaluate(&sys.origin, &mut PlanWorkspace::new()).expect("evaluates");
 
         let mut legacy = Vec::new();
         for (spec, impact) in &sys.affine {

@@ -217,8 +217,8 @@ proptest! {
         let moves = moves_request(&spec, &pool, index.wrapping_add(1_000));
         for req in [mixed, moves] {
             let twice = [
-                service.call_blocking(req.clone()).expect("cold accepted"),
-                service.call_blocking(req).expect("warm accepted"),
+                service.call(req.clone()).expect("cold accepted"),
+                service.call(req).expect("warm accepted"),
             ];
             prop_assert_eq!(twice[1].cache, Some(CacheOutcome::Hit));
             prop_assert_eq!(
@@ -271,8 +271,8 @@ proptest! {
             scenario: Arc::clone(&pool[0]),
             kind: EvalKind::Curve(with_mutated_grid(which)),
         };
-        let cold = service.call_blocking(req.clone()).expect("cold accepted");
-        let warm = service.call_blocking(req).expect("warm accepted");
+        let cold = service.call(req.clone()).expect("cold accepted");
+        let warm = service.call(req).expect("warm accepted");
         prop_assert_eq!(cold.cache, Some(CacheOutcome::Compiled));
         prop_assert_eq!(warm.cache, Some(CacheOutcome::Hit));
         prop_assert!(

@@ -141,7 +141,7 @@ fn service_responses_match_legacy_paths_cold_and_cached() {
     for index in 0..REQUESTS {
         let req = request(&spec, &pool, index);
         let expected = oracle_metric_bits(&req.scenario, &req.kind);
-        let resp = service.call_blocking(req).expect("cold pass accepted");
+        let resp = service.call(req).expect("cold pass accepted");
         assert_matches_oracle(&resp, &expected, "cold");
         cold_digests.push(fepia::serve::workload::response_digest(&resp));
     }
@@ -155,7 +155,7 @@ fn service_responses_match_legacy_paths_cold_and_cached() {
     for index in 0..REQUESTS {
         let req = request(&spec, &pool, index);
         let expected = oracle_metric_bits(&req.scenario, &req.kind);
-        let resp = service.call_blocking(req).expect("warm pass accepted");
+        let resp = service.call(req).expect("warm pass accepted");
         assert_matches_oracle(&resp, &expected, "warm");
         assert_eq!(
             fepia::serve::workload::response_digest(&resp),

@@ -23,7 +23,7 @@ use fepia::mapping::makespan_robustness;
 use fepia::serve::workload::{
     combine_digests, moves_request, request, response_digest, scenario_pool, WorkloadSpec,
 };
-use fepia::serve::{EvalKind, EvalResponse, Service, ServiceConfig};
+use fepia::serve::{EvalKind, EvalResponse, Service, ServiceConfig, Submit};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, Once};
 use std::thread;
@@ -106,7 +106,13 @@ fn drive(
                             request(spec, pool, index)
                         };
                         let ticket = service
-                            .submit_blocking(req)
+                            .submit(
+                                req,
+                                Submit {
+                                    wait: true,
+                                    ..Submit::default()
+                                },
+                            )
                             .expect("backpressure admission never sheds");
                         window.push(ticket);
                         if window.len() == WINDOW {
